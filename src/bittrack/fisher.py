@@ -2,7 +2,8 @@
 
 A sensor reporting at rate m contributes a rank-1 position-block FIM
 whose magnitude is set by the information kernel `kappa`; expected
-contributions are particle averages over the predicted cloud.  The
+contributions are particle averages over the predicted cloud, which
+read the kernel from its cached spline table.  The
 prior FIM comes from a Gaussian approximation of the cloud.  Totals
 are ranked by log-determinant (D-optimality).
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import SensorGrid, STATE_DIM
-from .quantizer import QuantizerBank, kappa
+from .quantizer import QuantizerBank, kappa, kernel_table
 
 # Relative ridge added to a near-singular particle covariance before
 # inversion; resampling can collapse the cloud onto few support points.
@@ -51,28 +52,38 @@ class FimTable:
         return self.atoms.shape[1] - 1
 
 
-def _conditional_coef(grid: SensorGrid, i: int, pos: np.ndarray, m: int,
-                      bank: QuantizerBank):
-    """Scalar weight and position offsets of the rank-1 conditional FIM.
+def _geometry(grid: SensorGrid, sensors: np.ndarray, pos: np.ndarray):
+    """Sensor-to-target offsets, amplitude and attenuation factor.
 
-    Vectorized over target positions: pos is (..., 2), returns
-    (coef, dx, dy) each of shape (...,).
+    sensors is (..., 2) and pos is (..., 2), broadcast against each
+    other.  Returns (dx, dy, a, base), where the rank-1 conditional FIM
+    of a rate-m report has scalar weight kappa(m, a) * base.
     """
     pos = np.asarray(pos, dtype=float)
-    dx = grid.positions[i, 0] - pos[..., 0]
-    dy = grid.positions[i, 1] - pos[..., 1]
+    dx = sensors[..., 0] - pos[..., 0]
+    dy = sensors[..., 1] - pos[..., 1]
     d2 = dx * dx + dy * dy
     n = grid.n_exp
     denom = 1.0 + grid.alpha * d2 ** (n / 2.0)
     a2 = grid.p0 / denom
-    a = np.sqrt(a2)
-    k = kappa(m, a, grid.sigma, bank[m])
     # d^(2n-4) = (d^2)^(n-2); guarded at d = 0 where the outer product
     # vanishes anyway (avoids 0**negative for n < 2).
     with np.errstate(divide="ignore", invalid="ignore"):
         dpow = np.where(d2 > 0.0, d2 ** (n - 2.0), 0.0)
-    coef = n * n * k * a2 * grid.alpha**2 * dpow / (denom * denom)
-    return coef, dx, dy
+    base = n * n * a2 * grid.alpha**2 * dpow / (denom * denom)
+    return dx, dy, np.sqrt(a2), base
+
+
+def _conditional_coef(grid: SensorGrid, i: int, pos: np.ndarray, m: int,
+                      bank: QuantizerBank):
+    """Scalar weight and position offsets of the rank-1 conditional FIM,
+    with the exact kernel.
+
+    Vectorized over target positions: pos is (..., 2), returns
+    (coef, dx, dy) each of shape (...,).
+    """
+    dx, dy, a, base = _geometry(grid, grid.positions[i], pos)
+    return kappa(m, a, grid.sigma, bank[m]) * base, dx, dy
 
 
 def _rank1_fim(coef, dx, dy) -> np.ndarray:
@@ -135,26 +146,24 @@ def build_fim_table(grid: SensorGrid, particles, r_max: int,
                     bank: QuantizerBank) -> FimTable:
     """Expected atoms for every (sensor, rate) pair plus the prior FIM.
 
-    The per-sensor geometry (offsets, distances, amplitudes) is shared
-    across rates; only the kappa kernel depends on the rate.
+    The (sensor, particle) geometry and the kernel-table lookup are
+    shared across rates; each rate evaluates its tabulated kernel (see
+    `quantizer.kernel_table`) and averages three distinct entries.
     """
     states = np.asarray(particles.states, dtype=float)
-    n_exp = grid.n_exp
+    dx, dy, a, base = _geometry(grid, grid.positions[:, None, :],
+                                states[None, :, :2])
+    moments = np.stack([base * dx * dx, base * dx * dy, base * dy * dy])
+    a_max = np.sqrt(grid.p0)
     atoms = np.zeros((grid.n_sensors, r_max + 1, STATE_DIM, STATE_DIM))
-    for i in range(grid.n_sensors):
-        dx = grid.positions[i, 0] - states[:, 0]
-        dy = grid.positions[i, 1] - states[:, 1]
-        d2 = dx * dx + dy * dy
-        denom = 1.0 + grid.alpha * d2 ** (n_exp / 2.0)
-        a = np.sqrt(grid.p0 / denom)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dpow = np.where(d2 > 0.0, d2 ** (n_exp - 2.0), 0.0)
-        base = n_exp**2 * grid.alpha**2 * (grid.p0 / denom) * dpow / (denom * denom)
-        for m in range(1, r_max + 1):
-            coef = kappa(m, a, grid.sigma, bank[m]) * base
-            atoms[i, m, 0, 0] = np.mean(coef * dx * dx)
-            atoms[i, m, 0, 1] = atoms[i, m, 1, 0] = np.mean(coef * dx * dy)
-            atoms[i, m, 1, 1] = np.mean(coef * dy * dy)
+    for m in range(1, r_max + 1):
+        tab = kernel_table(bank[m], grid.sigma, a_max)
+        if m == 1:  # every rate's table shares one amplitude grid
+            seg, frac = tab.locate(a)
+        e = np.mean(moments * tab.evaluate(seg, frac), axis=-1)
+        atoms[:, m, 0, 0] = e[0]
+        atoms[:, m, 0, 1] = atoms[:, m, 1, 0] = e[1]
+        atoms[:, m, 1, 1] = e[2]
     return FimTable(atoms=atoms, prior=prior_fim(particles))
 
 

@@ -12,6 +12,7 @@ curves directly comparable.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -67,13 +68,26 @@ class ExperimentConfig:
             raise ValueError("convex_decode must be 'sample' or 'round'")
         for name in ("grid_side_count", "area_side", "p0", "alpha", "n_exp",
                      "sigma", "dt", "steps", "particles", "budget", "trials"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
+        if not (self.rho >= 0 and math.isfinite(self.rho)):
+            raise ValueError("rho must be non-negative and finite")
+        # The prior FIM inverts the cloud's sample covariance.
+        if self.particles < 5:
+            raise ValueError("particles must be at least 5")
+        # The convex policy's interior start point needs N >= 2.
+        if self.policy == "convex" and self.n_sensors < 2:
+            raise ValueError("the convex policy needs at least 2 sensors")
         object.__setattr__(self, "mu0", tuple(float(x) for x in self.mu0))
         object.__setattr__(self, "sigma0_diag",
                            tuple(float(x) for x in self.sigma0_diag))
+        for name in ("mu0", "sigma0_diag"):
+            vec = getattr(self, name)
+            if len(vec) != 4 or not all(math.isfinite(x) for x in vec):
+                raise ValueError(f"{name} must hold 4 finite entries")
+        if min(self.sigma0_diag) < 0:
+            raise ValueError("sigma0_diag must be non-negative")
 
     @property
     def n_sensors(self) -> int:
@@ -93,7 +107,7 @@ class TrialRecord:
     allocs: np.ndarray = field(repr=False)     # (T, N)
     matrix_sums: np.ndarray = field(repr=False)
     candidates: np.ndarray = field(repr=False)
-    alloc_runtime: np.ndarray = field(repr=False)
+    alloc_runtime: np.ndarray = field(repr=False)  # s, table build excluded
     newton_iters: np.ndarray = field(repr=False)      # -1 where not applicable
     newton_decrement: np.ndarray = field(repr=False)  # nan where not applicable
     newton_residual: np.ndarray = field(repr=False)
@@ -187,35 +201,35 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int,
         truth = sh.motion.F @ truth + q_factor @ rngs["truth"].standard_normal(4)
         predicted = tracker.predict(cloud, sh.motion, rngs["predict"])
 
+        if cfg.policy != "nearest":
+            table = build_fim_table(sh.grid, predicted, budget, sh.bank)
         tic = time.perf_counter()
         if cfg.policy == "nearest":
             pred_mean = tracker.estimate(predicted)
             outcome = allocators.nearest_neighbor(sh.grid, pred_mean[:2], n, budget)
-        else:
-            table = build_fim_table(sh.grid, predicted, budget, sh.bank)
-            if cfg.policy == "exhaustive":
-                outcome = allocators.exhaustive(table, n, budget,
-                                                cap=cfg.exhaustive_cap)
-            elif cfg.policy == "adp":
-                outcome = allocators.adp(table, n, budget)
-            elif cfg.policy == "gbfos":
-                outcome = allocators.gbfos(table, n, budget)
-            elif cfg.policy == "greedy":
-                outcome = allocators.greedy(table, n, budget)
-            else:  # convex
-                q_star, diag = convex.newton_solve(table, sh.constraints,
-                                                   sh.settings,
-                                                   sh.warm_start(table))
-                if cfg.convex_decode == "round":
-                    rates = convex.round_transmission(q_star, budget)
-                else:
-                    rates = convex.sample_transmission(q_star, rngs["transmit"])
-                outcome = allocators.AllocOutcome(
-                    alloc=rates, logdet_value=float("nan"),
-                    matrix_sums=0, candidates_examined=diag.iterations)
-                ni[t] = diag.iterations
-                ndec[t] = diag.decrement_half_sq
-                nres[t] = diag.max_constraint_residual
+        elif cfg.policy == "exhaustive":
+            outcome = allocators.exhaustive(table, n, budget,
+                                            cap=cfg.exhaustive_cap)
+        elif cfg.policy == "adp":
+            outcome = allocators.adp(table, n, budget)
+        elif cfg.policy == "gbfos":
+            outcome = allocators.gbfos(table, n, budget)
+        elif cfg.policy == "greedy":
+            outcome = allocators.greedy(table, n, budget)
+        else:  # convex
+            q_star, diag = convex.newton_solve(table, sh.constraints,
+                                               sh.settings,
+                                               sh.warm_start(table))
+            if cfg.convex_decode == "round":
+                rates = convex.round_transmission(q_star, budget)
+            else:
+                rates = convex.sample_transmission(q_star, rngs["transmit"])
+            outcome = allocators.AllocOutcome(
+                alloc=rates, logdet_value=float("nan"),
+                matrix_sums=0, candidates_examined=diag.iterations)
+            ni[t] = diag.iterations
+            ndec[t] = diag.decrement_half_sq
+            nres[t] = diag.max_constraint_residual
         runtimes[t] = time.perf_counter() - tic
 
         noise = rngs["measurement"].standard_normal(n)

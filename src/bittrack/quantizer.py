@@ -12,9 +12,12 @@ sensor/target geometry, and stored in a bank file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.special import erfc
 
 # Levels with mass below this floor contribute nothing to kappa; their
@@ -130,6 +133,82 @@ def kappa(m: int, a, sigma: float, thr: ThresholdVector):
     terms = np.where(p >= P_FLOOR, diff * diff / np.where(p >= P_FLOOR, p, 1.0), 0.0)
     out = terms.sum(axis=-1) / (8.0 * np.pi * sigma**2)
     return out if out.ndim else float(out)
+
+
+# Spline nodes per sigma of amplitude.  kappa varies on the scale of
+# sigma, so the cubic's O(h^4) error stays below 1e-10 of the kernel's
+# peak at this spacing.
+_TABLE_NODES_PER_SIGMA = 128
+# Nodes added beyond each end of [0, a_max].  The error of the natural
+# end condition shrinks by 2 - sqrt(3) per node, so it has died out
+# long before the tabulated range begins.
+_TABLE_PAD = 16
+# Nodes per exact-kernel call while tabulating, which bounds the size
+# of kappa's (nodes, levels) temporaries.
+_TABLE_CHUNK = 512
+
+
+@dataclass(frozen=True)
+class KernelTable:
+    """kappa(m, .) as a C^2 cubic spline through exact values on a uniform
+    amplitude grid over [0, a_max].
+
+    On segment k, kappa at fraction f of the segment is
+    coef[0, k] + f*(coef[1, k] + f*(coef[2, k] + f*coef[3, k])).
+    """
+
+    step: float
+    coef: np.ndarray = field(repr=False)  # (4, segments)
+
+    def locate(self, a):
+        """Segment index and in-segment fraction of amplitudes 0 <= a <= a_max."""
+        t = np.asarray(a, dtype=float) / self.step
+        seg = np.minimum(t.astype(np.intp), self.coef.shape[1] - 1)
+        return seg, t - seg
+
+    def evaluate(self, seg, frac):
+        """Kernel values at located amplitudes (see `locate`)."""
+        c0, c1, c2, c3 = np.take(self.coef, seg, axis=1)
+        # The spline rings to about 1e-11 of the peak where kappa is 0.
+        return np.maximum(c0 + frac * (c1 + frac * (c2 + frac * c3)), 0.0)
+
+
+def kernel_table(thr: ThresholdVector, sigma: float,
+                 a_max: float) -> KernelTable:
+    """Tabulated kappa(thr.rate, ., sigma, thr) on [0, a_max], built on
+    first use.
+
+    The node spacing depends only on (sigma, a_max), so every rate's
+    table for one sensor model shares a grid and one `locate` serves
+    them all.  Tables are cached on the threshold values, not on the
+    bank object, so a bank designed or loaded again reuses them.
+    """
+    return _kernel_table(thr.interior.tobytes(), thr.rate, float(sigma),
+                         float(a_max))
+
+
+@lru_cache(maxsize=64)
+def _kernel_table(interior: bytes, m: int, sigma: float,
+                  a_max: float) -> KernelTable:
+    thr = ThresholdVector(m, np.frombuffer(interior))
+    segments = math.ceil(a_max * _TABLE_NODES_PER_SIGMA / sigma)
+    h = a_max / segments
+    x = h * np.arange(-_TABLE_PAD, segments + _TABLE_PAD + 1)
+    y = np.concatenate([kappa(m, x[j:j + _TABLE_CHUNK], sigma, thr)
+                        for j in range(0, x.size, _TABLE_CHUNK)])
+    # Natural spline: second derivatives M (times h^2) solve
+    # M[j-1] + 4 M[j] + M[j+1] = 6 (y[j-1] - 2 y[j] + y[j+1]), M = 0 at the ends.
+    bands = np.repeat([[1.0], [4.0], [1.0]], x.size - 2, axis=1)
+    mh2 = np.zeros(x.size)
+    mh2[1:-1] = solve_banded((1, 1), bands, 6.0 * np.diff(y, 2))
+    lo = slice(_TABLE_PAD, _TABLE_PAD + segments)
+    hi = slice(_TABLE_PAD + 1, _TABLE_PAD + segments + 1)
+    coef = np.stack([y[lo],
+                     y[hi] - y[lo] - (2.0 * mh2[lo] + mh2[hi]) / 6.0,
+                     mh2[lo] / 2.0,
+                     (mh2[hi] - mh2[lo]) / 6.0])
+    coef.flags.writeable = False
+    return KernelTable(h, coef)
 
 
 def amplitude_samples(area_side: float, grid_params, sample_count: int,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bittrack import fisher, model, quantizer as qz
+from bittrack import fisher, model, quantizer as qz, tracker
 from bittrack.tracker import ParticleSet
 
 from conftest import fd_amplitude_fisher
@@ -124,6 +124,33 @@ def test_expected_fim_rejects_empty(grid9, bank3):
     object.__setattr__(empty, "weights", np.empty(0))
     with pytest.raises(ValueError):
         fisher.sensor_fim_expected(grid9, 0, empty, 1, bank3)
+
+
+def _cloud(kind, grid):
+    rng = np.random.default_rng(13)
+    cov0 = np.diag([0.25, 0.25, 0.01, 0.01])
+    cloud = tracker.init_particles([-3.0, -4.0, 1.0, 1.0], cov0, 1000, rng)
+    if kind == "wide":
+        motion = model.build_motion(0.5, 0.1)
+        for _ in range(20):
+            cloud = tracker.predict(cloud, motion, rng)
+    states = cloud.states.copy()
+    if kind == "on_sensor":
+        # d = 0 puts the amplitude at sqrt(p0), the table's last node.
+        states[0, :2] = grid.positions[4]
+    return uniform_set(states)
+
+
+@pytest.mark.parametrize("kind", ["tight", "wide", "on_sensor"])
+def test_table_matches_exact_kernel_oracle(grid9, bank5, kind):
+    particles = _cloud(kind, grid9)
+    table = fisher.build_fim_table(grid9, particles, 5, bank5)
+    assert np.all(table.atoms[:, 0] == 0.0)
+    for m in range(1, 6):
+        want = np.array([fisher.sensor_fim_expected(grid9, i, particles, m, bank5)
+                         for i in range(grid9.n_sensors)])
+        assert np.allclose(table.atoms[:, m], want, rtol=0.0,
+                           atol=1e-8 * np.abs(want).max()), m
 
 
 def test_prior_fim_identity_and_scaling():

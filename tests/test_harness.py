@@ -1,4 +1,5 @@
 import filecmp
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +142,19 @@ def test_nearest_policy_follows_deterministic_track(tiny_bank):
         assert rec.allocs[t, int(np.argmin(d2))] == cfg.budget
 
 
+def test_alloc_runtime_excludes_table_build(tiny_cfg, tiny_bank, monkeypatch):
+    build = harness.build_fim_table
+
+    def slow_build(*args):
+        time.sleep(0.02)
+        return build(*args)
+
+    monkeypatch.setattr(harness, "build_fim_table", slow_build)
+    cfg = replace(tiny_cfg, policy="adp", steps=2)
+    rec = harness.run_trial(cfg, 0, harness._Shared(cfg, bank=tiny_bank))
+    assert np.all(rec.alloc_runtime < 0.02)
+
+
 def test_aggregate_series_perfect_estimates(tiny_cfg, tiny_bank):
     sh = harness._Shared(tiny_cfg, bank=tiny_bank)
     rec = harness.run_trial(tiny_cfg, 0, sh)
@@ -236,6 +250,35 @@ def test_cli_simulate_and_exit_codes(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(bad), "--out", str(out_dir)])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", [
+    {"particles": "3"},
+    {"p0": "nan"},
+    {"rho": "inf"},
+    {"mu0": "-8,-8,2"},
+    {"sigma0_diag": "0.4,0.4,0.01"},
+    {"mu0": "-8,nan,2,2"},
+    {"sigma0_diag": "0.4,-0.4,0.01,0.01"},
+    {"grid_side_count": "1", "policy": "convex"},
+])
+def test_cli_simulate_rejects_bad_config_before_design(tmp_path, capsys,
+                                                      monkeypatch, bad):
+    def no_design(*args, **kwargs):
+        raise AssertionError("bank designed for a bad config")
+
+    monkeypatch.setattr(harness, "build_bank", no_design)
+    cfg_path = tmp_path / "run.cfg"
+    write_tiny_config(cfg_path)
+    lines = [line for line in cfg_path.read_text().splitlines()
+             if line.split(" = ")[0] not in bad]
+    lines += [f"{key} = {raw}" for key, raw in bad.items()]
+    cfg_path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["simulate", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert not (tmp_path / "out").exists()
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_simulate_policy_override(tmp_path, capsys):

@@ -147,6 +147,24 @@ def test_optimize_thresholds_local_optimality(m, bank3):
         assert qz.design_objective(m, pert, amps, sigma) <= base + 1e-4
 
 
+@pytest.mark.parametrize("sigma, p0", [(PAPER_GRID_PARAMS[3], PAPER_GRID_PARAMS[0]),
+                                       (0.5, 4000.0)])
+def test_kernel_table_matches_exact_kappa(bank5, sigma, p0):
+    # Random amplitudes fall off the spline's nodes, where its error peaks.
+    a_max = np.sqrt(p0)
+    a = np.random.default_rng(7).uniform(0.0, a_max, 100_000)
+    for m in range(1, bank5.r_max + 1):
+        table = qz.kernel_table(bank5[m], sigma, a_max)
+        got = table.evaluate(*table.locate(a))
+        want = np.concatenate([qz.kappa(m, chunk, sigma, bank5[m])
+                               for chunk in np.array_split(a, 20)])
+        assert np.all(got >= 0.0), m
+        assert np.max(np.abs(got - want)) <= 1e-9 * want.max(), m
+        # Cached on the threshold values, not on the bank object.
+        copy = qz.ThresholdVector(m, bank5[m].interior.copy())
+        assert qz.kernel_table(copy, sigma, a_max) is table
+
+
 def test_optimize_improves_on_equiprobable_init():
     rng = np.random.default_rng(0)
     amps = qz.amplitude_samples(AREA_SIDE, PAPER_GRID_PARAMS, 2000, rng)
