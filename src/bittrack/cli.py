@@ -15,7 +15,7 @@ import numpy as np
 from . import allocators, convex
 from .fisher import FimTable
 from .harness import ConfigError, load_config, run_experiment, write_outputs
-from .quantizer import build_bank, save_bank
+from .quantizer import build_bank, load_bank, save_bank
 
 
 def _parse_rates(spec: str):
@@ -56,11 +56,14 @@ def cmd_simulate(args) -> int:
             overrides["trials"] = args.trials
         if overrides:
             cfg = replace(cfg, **overrides)
-    except (ConfigError, OSError, ValueError) as exc:
+        bank = load_bank(cfg.bank_file) if cfg.bank_file else None
+        if bank is not None and bank.r_max < cfg.budget:
+            raise ValueError(f"bank_file covers rates 0..{bank.r_max}, not the budget")
+    except (ConfigError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        records, series, summary = run_experiment(cfg)
+        records, series, summary = run_experiment(cfg, bank=bank)
         write_outputs(records, series, args.out, cfg, summary)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -3,9 +3,9 @@
 A sensor reporting at rate m contributes a rank-1 position-block FIM
 whose magnitude is set by the information kernel `kappa`; expected
 contributions are particle averages over the predicted cloud, which
-read the kernel from its cached spline table.  The
-prior FIM comes from a Gaussian approximation of the cloud.  Totals
-are ranked by log-determinant (D-optimality).
+read the kernel from its cached spline table.  The prior FIM comes
+from a Gaussian approximation of the cloud.  Totals are ranked by
+log-determinant (D-optimality).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SensorGrid, STATE_DIM
+from .model import SensorGrid, STATE_DIM, attenuation
 from .quantizer import QuantizerBank, kappa, kernel_table
 
 # Relative ridge added to a near-singular particle covariance before
@@ -64,8 +64,7 @@ def _geometry(grid: SensorGrid, sensors: np.ndarray, pos: np.ndarray):
     dy = sensors[..., 1] - pos[..., 1]
     d2 = dx * dx + dy * dy
     n = grid.n_exp
-    denom = 1.0 + grid.alpha * d2 ** (n / 2.0)
-    a2 = grid.p0 / denom
+    a2, denom = attenuation(d2, grid.p0, grid.alpha, n)
     # d^(2n-4) = (d^2)^(n-2); guarded at d = 0 where the outer product
     # vanishes anyway (avoids 0**negative for n < 2).
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -184,9 +183,15 @@ def logdet(f: np.ndarray) -> float:
     inputs produce a finite value.
     """
     f = np.asarray(f, dtype=float)
-    scale = np.max(np.abs(f))
-    if not np.allclose(f, f.T, atol=1e-10 * max(scale, 1.0)):
-        raise ValueError("logdet requires a symmetric matrix")
+    ft = f.T
+    # np.allclose(f, ft, atol=...) written out, with the same outcome for
+    # NaN and +-inf; exactly symmetric input, the usual case, skips it.
+    if not (f == ft).all():
+        atol = 1e-10 * max(np.max(np.abs(f)), 1.0)
+        with np.errstate(invalid="ignore"):
+            close = (np.abs(f - ft) <= atol + 1e-5 * np.abs(ft)) & np.isfinite(ft)
+        if not (close | (f == ft)).all():
+            raise ValueError("logdet requires a symmetric matrix")
     try:
         chol = np.linalg.cholesky(f)
     except np.linalg.LinAlgError:

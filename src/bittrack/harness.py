@@ -79,6 +79,10 @@ class ExperimentConfig:
         # The convex policy's interior start point needs N >= 2.
         if self.policy == "convex" and self.n_sensors < 2:
             raise ValueError("the convex policy needs at least 2 sensors")
+        count = allocators.enumerate_count(self.n_sensors, self.budget)
+        if self.policy == "exhaustive" and count > self.exhaustive_cap:
+            raise ValueError(f"exhaustive_cap {self.exhaustive_cap} is below "
+                             f"the {count} allocations to enumerate")
         object.__setattr__(self, "mu0", tuple(float(x) for x in self.mu0))
         object.__setattr__(self, "sigma0_diag",
                            tuple(float(x) for x in self.sigma0_diag))

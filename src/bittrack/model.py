@@ -1,4 +1,4 @@
-"""Target kinematics, sensor geometry, and raw (unquantized) measurements.
+"""Target kinematics, sensor geometry, and the attenuation law.
 
 The target follows a white-noise-acceleration model over the 4-state
 vector [x, y, vx, vy].  Sensors see a range-attenuated signal amplitude
@@ -24,14 +24,6 @@ class MotionModel:
     rho: float
     F: np.ndarray = field(repr=False)
     Q: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """Raw (pre-quantization) reading of one sensor."""
-
-    sensor_index: int
-    z: float
 
 
 @dataclass(frozen=True)
@@ -92,27 +84,25 @@ def build_motion(dt: float, rho: float) -> MotionModel:
     return MotionModel(dt=dt, rho=rho, F=F, Q=Q)
 
 
-def propagate(state: np.ndarray, model: MotionModel, noise: np.ndarray) -> np.ndarray:
-    """One dynamics step: F @ state + noise."""
-    return model.F @ np.asarray(state, dtype=float) + np.asarray(noise, dtype=float)
+def attenuation(d2, p0: float, alpha: float, n_exp: float):
+    """The attenuation law at squared distance d2: (a2, denom), where
+    denom = 1 + alpha * d^n and a2 = p0 / denom is the received power.
+    The amplitude sqrt(a2) is regular at d = 0 (it saturates at sqrt(p0)).
+    """
+    denom = 1.0 + alpha * d2 ** (n_exp / 2.0)
+    return p0 / denom, denom
 
 
 def amplitude(grid: SensorGrid, i: int, pos) -> float:
     """Noise-free signal amplitude a = sqrt(p0 / (1 + alpha * d^n)) at sensor i.
 
-    Regular at d = 0 (the attenuation law saturates at sqrt(p0) rather
-    than diverging).  `pos` may also be an (M, 2) array of target
-    positions, in which case an (M,) amplitude vector is returned.
+    `pos` may also be an (M, 2) array of target positions, in which
+    case an (M,) amplitude vector is returned.
     """
     pos = np.asarray(pos, dtype=float)
     delta = pos[..., :2] - grid.positions[i]
     d2 = np.sum(delta * delta, axis=-1)
-    return np.sqrt(grid.p0 / (1.0 + grid.alpha * d2 ** (grid.n_exp / 2.0)))
-
-
-def measure(grid: SensorGrid, i: int, pos, noise_sample: float) -> Measurement:
-    """Received value z = amplitude + noise; noise is drawn by the caller."""
-    return Measurement(i, float(amplitude(grid, i, pos) + noise_sample))
+    return np.sqrt(attenuation(d2, grid.p0, grid.alpha, grid.n_exp)[0])
 
 
 def build_grid(count_per_side: int, area_side: float, **params) -> SensorGrid:

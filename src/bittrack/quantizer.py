@@ -20,6 +20,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import erfc
 
+from .model import attenuation
+
 # Levels with mass below this floor contribute nothing to kappa; their
 # numerator vanishes at least as fast, so the 0/0 limit is 0.
 P_FLOOR = 1e-12
@@ -74,29 +76,34 @@ def quantize(z: float, thr: ThresholdVector) -> int:
     return int(np.searchsorted(thr.interior, z, side="right"))
 
 
-def level_probabilities(a, sigma: float, thr: ThresholdVector) -> np.ndarray:
-    """Probability of every level given amplitude a (a may be an array).
-
-    Returns shape a.shape + (2^m,).  For rate 0 the single "no report"
-    outcome has probability 1.
+def level_probabilities(a, sigma: float, thr: ThresholdVector,
+                        level: int | None = None) -> np.ndarray:
+    """Probability of every level given amplitude a (a may be an array),
+    shape a.shape + (2^m,); or of `level` alone, shape a.shape, from its
+    two boundaries and equal to the full array's column bit for bit.
+    For rate 0 the single "no report" outcome has probability 1.
     """
     a = np.asarray(a, dtype=float)
+    bounds = thr.boundaries
+    if level is not None:
+        if not 0 <= level < thr.n_levels:
+            raise ValueError(f"level {level} out of range for rate {thr.rate}")
+        bounds = bounds[level:level + 2]
     if thr.rate == 0:
-        return np.ones(a.shape + (1,))
-    t = (thr.boundaries - a[..., None]) / sigma
+        return np.ones(a.shape + (1,) if level is None else a.shape)
+    t = (bounds - a[..., None]) / sigma
     q = gaussian_upper_tail(t)
-    return q[..., :-1] - q[..., 1:]
+    p = q[..., :-1] - q[..., 1:]
+    return p if level is None else p[..., 0]
 
 
-def level_probability(l: int, a, sigma: float, thr: ThresholdVector):
-    """Probability that the quantizer outputs level l at amplitude a."""
-    if thr.rate == 0:
-        # Silent sensor: the (empty) report is certain.
-        return np.ones(np.shape(a)) if np.ndim(a) else 1.0
-    if not 0 <= l < thr.n_levels:
-        raise ValueError(f"level {l} out of range for rate {thr.rate}")
-    p = level_probabilities(a, sigma, thr)[..., l]
-    return p if p.ndim else float(p)
+def _level_terms(e, q):
+    """Per-level terms (e_l - e_{l+1})^2 / p_l of kappa from the boundary
+    values e = exp(-t^2/2) (0 at +-inf) and q = P(Z > t); a level with
+    p_l below P_FLOOR contributes 0."""
+    diff = e[..., :-1] - e[..., 1:]
+    p = q[..., :-1] - q[..., 1:]
+    return np.where(p >= P_FLOOR, diff * diff / np.where(p >= P_FLOOR, p, 1.0), 0.0)
 
 
 # Thresholds beyond this many sigmas from every amplitude contribute
@@ -126,11 +133,7 @@ def kappa(m: int, a, sigma: float, thr: ThresholdVector):
         interior = interior[j0:j1]
     bounds = np.concatenate(([-np.inf], interior, [np.inf]))
     t = (bounds - a[..., None]) / sigma
-    e = np.exp(-0.5 * t * t)  # 0 at the +-inf boundaries
-    diff = e[..., :-1] - e[..., 1:]
-    q = gaussian_upper_tail(t)
-    p = q[..., :-1] - q[..., 1:]
-    terms = np.where(p >= P_FLOOR, diff * diff / np.where(p >= P_FLOOR, p, 1.0), 0.0)
+    terms = _level_terms(np.exp(-0.5 * t * t), gaussian_upper_tail(t))
     out = terms.sum(axis=-1) / (8.0 * np.pi * sigma**2)
     return out if out.ndim else float(out)
 
@@ -225,7 +228,7 @@ def amplitude_samples(area_side: float, grid_params, sample_count: int,
     sensor = rng.uniform(-half, half, size=(sample_count, 2))
     target = rng.uniform(-half, half, size=(sample_count, 2))
     u = np.sum((sensor - target) ** 2, axis=1)
-    return np.sqrt(p0 / (1.0 + alpha * u ** (n_exp / 2.0)))
+    return np.sqrt(attenuation(u, p0, alpha, n_exp)[0])
 
 
 def design_objective(m: int, thr: ThresholdVector, amplitudes: np.ndarray,
@@ -252,15 +255,8 @@ class _CoordinateObjective:
         t = (bounds - amps[:, None]) / sigma
         self.exps = np.exp(-0.5 * t * t)   # (n, 2^m + 1)
         self.tails = gaussian_upper_tail(t)
-        self.terms = self._terms_from(self.exps, self.tails)  # (n, 2^m)
+        self.terms = _level_terms(self.exps, self.tails)  # (n, 2^m)
         self.total = self.terms.sum(axis=1)
-
-    @staticmethod
-    def _terms_from(exps, tails):
-        diff = exps[..., :-1] - exps[..., 1:]
-        p = tails[..., :-1] - tails[..., 1:]
-        return np.where(p >= P_FLOOR,
-                        diff * diff / np.where(p >= P_FLOOR, p, 1.0), 0.0)
 
     def _column(self, x: float):
         t = (x - self.amps) / self.sigma

@@ -98,8 +98,8 @@ def update_weights(p: ParticleSet, reports, grid: SensorGrid,
         log_w = np.log(p.weights)
         for rep in reports:
             amp = amplitude(grid, rep.sensor_index, p.states[:, :2])
-            probs = level_probabilities(amp, grid.sigma, bank[rep.rate])
-            log_w = log_w + np.log(probs[:, rep.level])
+            log_w = log_w + np.log(level_probabilities(
+                amp, grid.sigma, bank[rep.rate], level=rep.level))
     peak = np.max(log_w)
     if not np.isfinite(peak):
         return ParticleSet(p.states, np.full(p.size, 1.0 / p.size),

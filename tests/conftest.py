@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from bittrack import model, quantizer
 
 PAPER_GRID_PARAMS = (1000.0, 1.0, 2.0, 1.0)
 AREA_SIDE = 20.0
+# Bank written by `bittrack thresholds --rates 1..5` with the defaults.
+BANK_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                         "bank_r5.json")
 
 
 @pytest.fixture(scope="session")

@@ -228,3 +228,72 @@ def test_logdet_matrix_determinant_lemma():
         sign, middle = np.linalg.slogdet(np.eye(4) + np.linalg.inv(x) @ a)
         assert sign > 0
         assert lhs == pytest.approx(fisher.logdet(x) + middle, rel=1e-10)
+
+
+def _spd4():
+    f = np.diag([2.0, 3.0, 4.0, 5.0])
+    f[0, 1] = f[1, 0] = 0.5
+    return f
+
+
+def test_logdet_symmetry_tolerance():
+    # Tolerance: |f - f.T| <= 1e-10 * max(max|f|, 1) + 1e-5 * |f.T|.
+    for (i, j), delta, accepted in [((0, 1), 1e-6, True),
+                                    ((0, 1), 1e-3, False),
+                                    ((2, 3), 4e-10, True),
+                                    ((2, 3), 6e-10, False)]:
+        f = _spd4()
+        f[i, j] += delta
+        if accepted:
+            # Cholesky reads the lower triangle, which is unchanged.
+            assert fisher.logdet(f) == fisher.logdet(_spd4())
+        else:
+            with pytest.raises(ValueError):
+                fisher.logdet(f)
+
+
+def _non_finite_case(value, where):
+    f = _spd4()
+    if where == "diag":
+        f[2, 2] = value
+    elif where == "pair":
+        f[0, 1] = f[1, 0] = value
+    elif where == "upper":
+        f[0, 1] = value
+    elif where == "diag+asym":
+        f[2, 2] = value
+        f[0, 1] = 0.6
+    elif where == "opposite":
+        f[0, 1], f[1, 0] = value, -value
+    else:  # "huge": an infinite entry against a finite one
+        f[0, 1], f[1, 0] = value, 1e308
+    return f
+
+
+# Outcomes of the np.allclose symmetry check this one replaced: a NaN
+# anywhere is rejected; an infinite entry makes the absolute tolerance
+# infinite, so finite pairs always pass, while an infinite entry passes
+# only against an equal one.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value, where, expected", [
+    (np.nan, "diag", ValueError),
+    (np.nan, "pair", ValueError),
+    (np.nan, "upper", ValueError),
+    (np.nan, "diag+asym", ValueError),
+    (np.inf, "diag", np.inf),
+    (np.inf, "pair", -np.inf),
+    (np.inf, "upper", ValueError),
+    (np.inf, "diag+asym", np.inf),
+    (np.inf, "opposite", ValueError),
+    (np.inf, "huge", ValueError),
+    (-np.inf, "diag", -np.inf),
+    (-np.inf, "pair", -np.inf),
+    (-np.inf, "upper", ValueError),
+])
+def test_logdet_non_finite_inputs(value, where, expected):
+    f = _non_finite_case(value, where)
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            fisher.logdet(f)
+    else:
+        assert fisher.logdet(f) == expected

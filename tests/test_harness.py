@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bittrack import cli, harness
+from bittrack import cli, harness, quantizer
 from bittrack.harness import ConfigError, ExperimentConfig
+
+from conftest import BANK_FILE
 
 
 @pytest.fixture(scope="module")
@@ -223,9 +225,9 @@ def test_convex_policy_runs_and_reports_diagnostics(tiny_cfg, tiny_bank,
 
 
 def write_tiny_config(path, **overrides):
-    cfg = ExperimentConfig(grid_side_count=2, steps=3, particles=100,
-                           budget=2, trials=2, policy="greedy",
-                           bank_samples=1500, **overrides)
+    params = dict(grid_side_count=2, steps=3, particles=100, budget=2,
+                  trials=2, policy="greedy", bank_samples=1500)
+    cfg = ExperimentConfig(**{**params, **overrides})
     harness.write_config(cfg, path)
     return cfg
 
@@ -276,6 +278,37 @@ def test_cli_simulate_rejects_bad_config_before_design(tmp_path, capsys,
     cfg_path.write_text("\n".join(lines) + "\n")
     rc = cli.main(["simulate", "--config", str(cfg_path),
                    "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert not (tmp_path / "out").exists()
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, argv, bank_text", [
+    # 10 allocations to enumerate; the policy comes from the command line.
+    ({"exhaustive_cap": 5}, ["--policy", "exhaustive"], None),
+    ({"budget": 6, "bank_file": BANK_FILE}, [], None),  # rates 0..5 only
+    ({}, [], "missing"),
+    ({}, [], '{"rates": []}'),       # readable JSON without the bank keys
+    ({}, [], "[]"),                  # JSON, but not an object
+    ({}, [], "not json"),
+], ids=["exhaustive-cap", "budget-above-bank", "missing-bank",
+        "bank-lacks-keys", "bank-not-object", "bank-not-json"])
+def test_cli_simulate_bank_and_cap_errors_exit_2(tmp_path, capsys, monkeypatch,
+                                                 overrides, argv, bank_text):
+    def no_design(*args, **kwargs):
+        raise AssertionError("bank designed for a bad config")
+
+    monkeypatch.setattr(quantizer, "build_bank", no_design)
+    monkeypatch.setattr(harness, "build_bank", no_design)
+    if bank_text is not None:
+        path = tmp_path / "bank.json"
+        if bank_text != "missing":
+            path.write_text(bank_text)
+        overrides = dict(overrides, bank_file=str(path))
+    cfg_path = tmp_path / "run.cfg"
+    write_tiny_config(cfg_path, **overrides)
+    rc = cli.main(["simulate", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")] + argv)
     assert rc == 2
     assert not (tmp_path / "out").exists()
     assert "config error" in capsys.readouterr().err

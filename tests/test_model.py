@@ -4,6 +4,11 @@ import pytest
 from bittrack import model
 
 
+def propagate(state, mm, noise):
+    """One dynamics step F @ state + noise, as `tracker.predict` applies it."""
+    return mm.F @ np.asarray(state, dtype=float) + np.asarray(noise, dtype=float)
+
+
 def test_motion_matrices_unit_step():
     mm = model.build_motion(1.0, 1.0)
     expected_q = np.array([
@@ -39,21 +44,21 @@ def test_motion_rejects_bad_args():
 
 def test_propagate_moves_with_velocity():
     mm = model.build_motion(0.5, 0.0)
-    out = model.propagate(np.array([0.0, 0.0, 2.0, 2.0]), mm, np.zeros(4))
+    out = propagate(np.array([0.0, 0.0, 2.0, 2.0]), mm, np.zeros(4))
     assert np.allclose(out, [1.0, 1.0, 2.0, 2.0])
-    out = model.propagate(np.array([-8.0, -8.0, 2.0, 2.0]), mm, np.zeros(4))
+    out = propagate(np.array([-8.0, -8.0, 2.0, 2.0]), mm, np.zeros(4))
     assert np.allclose(out, [-7.0, -7.0, 2.0, 2.0])
 
 
 def test_propagate_noise_additive_and_linear():
     mm = model.build_motion(0.5, 0.0)
     noise = np.array([0.1, 0.0, 0.0, 0.0])
-    assert np.allclose(model.propagate(np.zeros(4), mm, noise), noise)
+    assert np.allclose(propagate(np.zeros(4), mm, noise), noise)
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=4), rng.normal(size=4)
     a, b = 1.7, -0.3
-    lhs = model.propagate(a * x + b * y, mm, np.zeros(4))
-    rhs = a * model.propagate(x, mm, np.zeros(4)) + b * model.propagate(y, mm, np.zeros(4))
+    lhs = propagate(a * x + b * y, mm, np.zeros(4))
+    rhs = a * propagate(x, mm, np.zeros(4)) + b * propagate(y, mm, np.zeros(4))
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -78,20 +83,30 @@ def test_amplitude_monotone_and_power_identity():
             grid.p0, rel=1e-12)
 
 
-def test_measure():
+def test_attenuation_law():
     grid = model.SensorGrid(positions=[(0.0, 0.0)])
-    a = model.amplitude(grid, 0, (3.0, 4.0))
-    out = model.measure(grid, 0, (3.0, 4.0), 0.0)
-    assert out.sensor_index == 0
-    assert out.z == pytest.approx(a)
-    g1 = model.SensorGrid(positions=[(0.0, 0.0)], alpha=999.0)
-    assert model.measure(g1, 0, (1.0, 0.0), -0.5).z == pytest.approx(0.5)
-    # same seed, same sequence
-    z1 = [model.measure(grid, 0, (1.0, 2.0), n).z
-          for n in np.random.default_rng(7).normal(size=5)]
-    z2 = [model.measure(grid, 0, (1.0, 2.0), n).z
-          for n in np.random.default_rng(7).normal(size=5)]
-    assert z1 == z2
+    a2, denom = model.attenuation(25.0, grid.p0, grid.alpha, grid.n_exp)
+    assert denom == 26.0
+    assert np.sqrt(a2) == model.amplitude(grid, 0, (3.0, 4.0))
+    assert np.sqrt(a2) == pytest.approx(np.sqrt(1000.0 / 26.0), rel=1e-15)
+    # alpha * d^n = 999 at d = 1: unit amplitude, so a reading with
+    # noise -0.5 is 0.5.
+    a2, _ = model.attenuation(1.0, 1000.0, 999.0, 2.0)
+    assert np.sqrt(a2) - 0.5 == pytest.approx(0.5)
+    # Saturates at sqrt(p0) at d = 0; vectorized and deterministic.
+    d2 = np.random.default_rng(7).uniform(0.0, 400.0, 5)
+    d2[0] = 0.0
+    a2, denom = model.attenuation(d2, 1000.0, 1.0, 2.0)
+    assert a2[0] == 1000.0
+    assert np.array_equal(a2, model.attenuation(d2, 1000.0, 1.0, 2.0)[0])
+    assert np.array_equal(denom, 1.0 + d2)
+    # model.amplitude evaluates the law exactly as written out.
+    g = model.SensorGrid(positions=[(1.0, -2.0)], p0=500.0, alpha=0.7,
+                         n_exp=2.3)
+    pos = np.random.default_rng(8).uniform(-15.0, 15.0, (50, 2))
+    u = np.sum((pos - g.positions[0]) ** 2, axis=1)
+    assert np.array_equal(model.amplitude(g, 0, pos),
+                          np.sqrt(g.p0 / (1.0 + g.alpha * u ** (g.n_exp / 2.0))))
 
 
 def test_build_grid_layouts():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bittrack import quantizer as qz
 
-from conftest import AREA_SIDE, PAPER_GRID_PARAMS, fd_amplitude_fisher
+from conftest import AREA_SIDE, BANK_FILE, PAPER_GRID_PARAMS, fd_amplitude_fisher
 
 
 def bernoulli_fisher(a, sigma, eta):
@@ -44,12 +45,17 @@ def test_quantize_levels():
 
 def test_level_probability_basics():
     t1 = qz.ThresholdVector(1, np.array([3.0]))
-    assert qz.level_probability(0, 3.0, 1.0, t1) == pytest.approx(0.5)
-    assert qz.level_probability(1, 3.0, 1.0, t1) == pytest.approx(0.5)
+    assert qz.level_probabilities(3.0, 1.0, t1, level=0) == pytest.approx(0.5)
+    assert qz.level_probabilities(3.0, 1.0, t1, level=1) == pytest.approx(0.5)
     t0 = qz.ThresholdVector(0, np.empty(0))
-    assert qz.level_probability(0, 5.0, 1.0, t0) == 1.0
+    assert qz.level_probabilities(5.0, 1.0, t0, level=0) == 1.0
+    assert np.array_equal(qz.level_probabilities([5.0, -2.0], 1.0, t0, level=0),
+                          [1.0, 1.0])
+    for bad in (2, -1):
+        with pytest.raises(ValueError):
+            qz.level_probabilities(3.0, 1.0, t1, level=bad)
     with pytest.raises(ValueError):
-        qz.level_probability(2, 3.0, 1.0, t1)
+        qz.level_probabilities(5.0, 1.0, t0, level=1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -63,11 +69,28 @@ def test_level_probabilities_normalize(m, bank5):
         assert abs(p.sum() - 1.0) <= 1e-12
 
 
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(amps=st.lists(st.floats(-40.0, 80.0), min_size=1, max_size=16),
+       sigma=st.floats(1e-3, 5.0))
+@example(amps=[-40.0, 0.0, 15.0, 31.6, 80.0], sigma=1e-3)
+def test_reported_level_equals_full_column(bank5, amps, sigma):
+    # Amplitudes span beyond [0, sqrt(p0)] and sigma reaches 1e-3, so
+    # many levels underflow to exactly 0; those must match too.
+    a = np.asarray(amps)
+    for m in range(1, bank5.r_max + 1):
+        full = qz.level_probabilities(a, sigma, bank5[m])
+        for l in range(2**m):
+            one = qz.level_probabilities(a, sigma, bank5[m], level=l)
+            assert one.shape == a.shape
+            assert np.array_equal(one, full[:, l]), (m, l)
+
+
 def test_quantize_consistent_with_mass():
     thr = qz.ThresholdVector(2, np.array([1.0, 2.0, 3.0]))
     for z in (0.2, 1.5, 2.5, 3.8):
         l = qz.quantize(z, thr)
-        assert qz.level_probability(l, z, 1e-4, thr) == pytest.approx(1.0, abs=1e-9)
+        assert qz.level_probabilities(z, 1e-4, thr, level=l) == pytest.approx(
+            1.0, abs=1e-9)
 
 
 def test_kappa_zero_rate():
@@ -194,6 +217,14 @@ def test_bank_roundtrip_bit_identical(tmp_path, bank3):
     for m in range(bank3.r_max + 1):
         assert np.array_equal(again[m].interior, bank3[m].interior)
     assert again.objectives == bank3.objectives
+
+
+def test_bank5_matches_committed_bank_file(tmp_path, bank5):
+    # Same design parameters as the committed file: same bytes.
+    path = tmp_path / "bank.json"
+    qz.save_bank(bank5, path)
+    with open(BANK_FILE, "rb") as fh:
+        assert path.read_bytes() == fh.read()
 
 
 def test_bank_file_rejects_gaps(tmp_path, bank3):

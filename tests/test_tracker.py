@@ -1,8 +1,25 @@
 import numpy as np
 import pytest
 
-from bittrack import model, tracker
+from bittrack import model, quantizer as qz, tracker
 from bittrack.tracker import ParticleSet, SensorReport
+
+
+def full_array_update_weights(p, reports, grid, bank):
+    """Oracle: the weight update through the full (N_s, 2^m) array of
+    level probabilities, keeping the reported level's column."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(p.weights)
+        for rep in reports:
+            amp = model.amplitude(grid, rep.sensor_index, p.states[:, :2])
+            probs = qz.level_probabilities(amp, grid.sigma, bank[rep.rate])
+            log_w = log_w + np.log(probs[:, rep.level])
+    peak = np.max(log_w)
+    if not np.isfinite(peak):
+        return ParticleSet(p.states, np.full(p.size, 1.0 / p.size),
+                           degenerate=True)
+    w = np.exp(log_w - peak)
+    return ParticleSet(p.states, w / w.sum(), degenerate=p.degenerate)
 
 
 def test_sensor_report_validation():
@@ -99,6 +116,35 @@ def test_update_weights_underflow_resets_uniform(grid9, bank3):
     out = tracker.update_weights(p, [SensorReport(0, 3, 0)], grid9, bank3)
     assert out.degenerate
     assert np.allclose(out.weights, 1 / 15)
+
+
+def test_update_weights_equals_full_array_oracle(grid9, bank5):
+    rng = np.random.default_rng(14)
+    n = 1000
+    allocs = [[5, 0, 0, 0, 0, 0, 0, 0, 0], [2, 1, 0, 2, 0, 0, 0, 0, 0],
+              [1, 1, 1, 0, 1, 0, 0, 0, 1], [0, 0, 0, 0, 3, 0, 0, 1, 1]]
+    for step, alloc in enumerate(allocs):
+        truth = rng.uniform(-10.0, 10.0, 2)
+        states = np.column_stack([truth + rng.normal(0.0, 2.0, (n, 2)),
+                                  rng.normal(0.0, 1.0, (n, 2))])
+        p = ParticleSet(states, rng.dirichlet(np.ones(n)))
+        reports = tracker.generate_reports(grid9, bank5, alloc, truth,
+                                           rng.standard_normal(9))
+        got = tracker.update_weights(p, reports, grid9, bank5)
+        want = full_array_update_weights(p, reports, grid9, bank5)
+        assert len(reports) >= 1
+        assert np.array_equal(got.weights, want.weights), step
+        assert got.degenerate == want.degenerate
+    # Every particle on top of sensor 0 while it reports the bottom level
+    # of rate 5: every likelihood underflows.
+    states = np.tile([-10.0, -10.0, 0.0, 0.0], (n, 1))
+    states[:, :2] += rng.normal(0.0, 1e-3, (n, 2))
+    p = ParticleSet(states, np.full(n, 1.0 / n))
+    reports = [SensorReport(0, 5, 0), SensorReport(4, 2, 1)]
+    got = tracker.update_weights(p, reports, grid9, bank5)
+    want = full_array_update_weights(p, reports, grid9, bank5)
+    assert got.degenerate and want.degenerate
+    assert np.array_equal(got.weights, want.weights)
 
 
 def test_estimate():
