@@ -13,8 +13,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import allocators, convex
-from .fisher import FimTable
-from .harness import ConfigError, load_config, run_experiment, write_outputs
+from .fisher import FimTable, logdet, total_fim
+from .harness import (POLICIES, ConfigError, load_config, run_experiment,
+                      write_outputs)
 from .quantizer import build_bank, load_bank, save_bank
 
 
@@ -99,6 +100,15 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_bench_alloc(args) -> int:
+    if args.n < 1 or args.r < 1:
+        print("config error: need --n >= 1 and --r >= 1", file=sys.stderr)
+        return 2
+    # Every instance runs exhaustive, so the enumeration must fit its cap.
+    count = allocators.enumerate_count(args.n, args.r)
+    if count > allocators.DEFAULT_ENUM_CAP:
+        print(f"config error: {count} allocations to enumerate exceed the "
+              f"cap {allocators.DEFAULT_ENUM_CAP}", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     print("instance,policy,logdet,gap_to_exhaustive,matrix_sums,candidates")
     try:
@@ -116,7 +126,6 @@ def cmd_bench_alloc(args) -> int:
                 table, sys_c, convex.default_settings(args.n, args.r),
                 convex.feasible_start(args.n, args.r))
             rates = convex.round_transmission(q_star, args.r)
-            from .fisher import logdet, total_fim
             outcomes["convex_rounded"] = allocators.AllocOutcome(
                 alloc=rates, logdet_value=logdet(total_fim(rates, table)),
                 matrix_sums=0, candidates_examined=diag.iterations)
@@ -139,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a configured experiment")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--policy", choices=("exhaustive", "convex", "adp",
-                                            "gbfos", "greedy", "nearest"))
+    p_sim.add_argument("--policy", choices=POLICIES)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--trials", type=int)
     p_sim.add_argument("--out", default="out")

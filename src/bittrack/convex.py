@@ -16,13 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
 
 from .fisher import FimTable, logdet
 
 # Smallest distance to the [0, 1] box boundary required of a barrier
 # starting point.
 INTERIOR_MARGIN = 1e-4
+
+# Largest N(R+1) for which feasible_start's smallest entry, 2/(N(R+1)),
+# still clears INTERIOR_MARGIN.
+MAX_UNKNOWNS = 20_000
+
+# Default barrier weight per unknown; see default_settings.
+TAU_SCALE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -97,11 +103,13 @@ class BarrierSettings:
             raise ValueError("line search parameters out of range")
 
 
-def default_settings(n_sensors: int, r_max: int) -> BarrierSettings:
-    """Barrier weight scaled with the problem size; calibrated so the box
-    barrier perturbs the log-det objective by less than the typical
-    determinant gap between neighboring allocations."""
-    return BarrierSettings(tau=1e-5 * n_sensors * (r_max + 1))
+def default_settings(n_sensors: int, r_max: int, tau_scale: float = TAU_SCALE,
+                     **solver) -> BarrierSettings:
+    """Barrier weight tau = tau_scale * N(R+1), scaled with the problem
+    size; the default scale is calibrated so the box barrier perturbs the
+    log-det objective by less than the typical determinant gap between
+    neighboring allocations.  Other BarrierSettings fields pass through."""
+    return BarrierSettings(tau=tau_scale * n_sensors * (r_max + 1), **solver)
 
 
 @dataclass(frozen=True)
@@ -127,47 +135,28 @@ def constraint_system(n_sensors: int, r_max: int) -> ConstraintSystem:
     return ConstraintSystem(A=A, b=b, n_sensors=n_sensors, r_max=r_max)
 
 
-def _interior_mixture(n_sensors: int, r_max: int) -> np.ndarray:
-    """A strictly interior point of the constraint polytope (N >= 2).
-
-    Every sensor gets the same row: a uniform distribution mixed with
-    extra mass at rate 0 so that the mean rate is exactly R/N.
-    """
-    lam = 1.0 - 2.0 / n_sensors
-    row = np.full(r_max + 1, (1.0 - lam) / (r_max + 1))
-    row[0] += lam
-    return np.tile(row, (n_sensors, 1))
-
-
 def feasible_start(n_sensors: int, r_max: int) -> TransmissionProbabilities:
     """Strictly interior feasible starting point for the barrier solve.
 
-    The LP vertex that maximizes total probability mass lies on the box
-    boundary where the barrier blows up, so it is blended with an
-    exactly-feasible interior mixture; both terms satisfy Aq = b, hence
-    so does the blend, and the mixture weight is chosen to guarantee the
-    INTERIOR_MARGIN box clearance.  With a single sensor the constraints
-    pin q to the boundary point (0,..,0,1); the returned point is then
-    nudged inside the box at the cost of a small budget-row residual.
+    Every sensor gets the same row: a uniform distribution mixed with
+    extra mass at rate 0 so that the mean rate is exactly R/N, hence
+    Aq = b.  The smallest entry is 2/(N(R+1)), so the point clears the
+    box by INTERIOR_MARGIN exactly when N(R+1) <= MAX_UNKNOWNS (20,000).
+
+    With a single sensor the constraints pin q to the boundary point
+    (0,..,0,1); the returned point is then nudged inside the box at the
+    cost of a small budget-row residual.
     """
-    sys = constraint_system(n_sensors, r_max)
+    if n_sensors < 1 or r_max < 1:
+        raise ValueError("need n_sensors >= 1 and r_max >= 1")
     if n_sensors == 1:
         q = np.full(r_max + 1, INTERIOR_MARGIN)
         q[-1] = 1.0 - r_max * INTERIOR_MARGIN
         return TransmissionProbabilities(q[None, :])
-    res = linprog(c=-np.ones(sys.A.shape[1]), A_eq=sys.A, b_eq=sys.b,
-                  bounds=(0.0, 1.0), method="highs")
-    if not res.success:
-        raise ValueError(f"feasible-start LP failed: {res.message}")
-    mix = _interior_mixture(n_sensors, r_max)
-    mix_min = 2.0 / (n_sensors * (r_max + 1))
-    gamma = min(0.5, max(1e-2, INTERIOR_MARGIN / mix_min))
-    q_lp = res.x.reshape(r_max + 1, n_sensors).T
-    q0 = (1.0 - gamma) * q_lp + gamma * mix
-    resid = np.max(np.abs(sys.A @ q0.T.ravel() - sys.b))
-    if resid > 1e-8:
-        raise ValueError(f"feasible start residual {resid:.3e} too large")
-    return TransmissionProbabilities(q0)
+    lam = 1.0 - 2.0 / n_sensors
+    row = np.full(r_max + 1, (1.0 - lam) / (r_max + 1))
+    row[0] += lam
+    return TransmissionProbabilities(np.tile(row, (n_sensors, 1)))
 
 
 def _information_matrix(qm: np.ndarray, table: FimTable) -> np.ndarray:

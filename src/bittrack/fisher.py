@@ -102,21 +102,6 @@ def sensor_fim_conditional(grid: SensorGrid, i: int, state, m: int,
     return _rank1_fim(coef, dx, dy)
 
 
-def sensor_fim_expected(grid: SensorGrid, i: int, particles, m: int,
-                        bank: QuantizerBank) -> np.ndarray:
-    """Unweighted particle average of the conditional FIM (predicted cloud
-    particles carry equal weight)."""
-    states = np.asarray(particles.states, dtype=float)
-    if states.shape[0] == 0:
-        raise ValueError("empty particle set")
-    coef, dx, dy = _conditional_coef(grid, i, states[:, :2], m, bank)
-    out = np.zeros((STATE_DIM, STATE_DIM))
-    out[0, 0] = np.mean(coef * dx * dx)
-    out[0, 1] = out[1, 0] = np.mean(coef * dx * dy)
-    out[1, 1] = np.mean(coef * dy * dy)
-    return out
-
-
 def prior_fim(particles) -> np.ndarray:
     """Prior FIM as the inverse sample covariance of the predicted cloud.
 

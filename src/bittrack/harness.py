@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class ExperimentConfig:
     mu0: tuple = (-8.0, -8.0, 2.0, 2.0)
     sigma0_diag: tuple = ((2.0 / 3.0) ** 2, (2.0 / 3.0) ** 2, 0.01, 0.01)
     seed: int = 0
-    tau_scale: float = 1e-5
+    tau_scale: float = convex.TAU_SCALE
     epsilon: float = 1e-8
     max_iters: int = 100
     exhaustive_cap: int = allocators.DEFAULT_ENUM_CAP
@@ -76,9 +76,14 @@ class ExperimentConfig:
         # The prior FIM inverts the cloud's sample covariance.
         if self.particles < 5:
             raise ValueError("particles must be at least 5")
-        # The convex policy's interior start point needs N >= 2.
+        # The convex policy's interior start point needs N >= 2 and
+        # clears the box only up to convex.MAX_UNKNOWNS unknowns.
         if self.policy == "convex" and self.n_sensors < 2:
             raise ValueError("the convex policy needs at least 2 sensors")
+        unknowns = self.n_sensors * (self.budget + 1)
+        if self.policy == "convex" and unknowns > convex.MAX_UNKNOWNS:
+            raise ValueError(f"the convex policy needs N(R+1) <= "
+                             f"{convex.MAX_UNKNOWNS}, not {unknowns}")
         count = allocators.enumerate_count(self.n_sensors, self.budget)
         if self.policy == "exhaustive" and count > self.exhaustive_cap:
             raise ValueError(f"exhaustive_cap {self.exhaustive_cap} is below "
@@ -149,10 +154,10 @@ class _Shared:
         if self.bank.r_max < cfg.budget:
             raise ValueError("quantizer bank does not cover the bit budget")
         self.constraints = convex.constraint_system(cfg.n_sensors, cfg.budget)
-        self.settings = convex.BarrierSettings(
-            tau=cfg.tau_scale * cfg.n_sensors * (cfg.budget + 1),
+        self.settings = convex.default_settings(
+            cfg.n_sensors, cfg.budget, cfg.tau_scale,
             epsilon=cfg.epsilon, max_iters=cfg.max_iters)
-        self.q_mixture = convex._interior_mixture(cfg.n_sensors, cfg.budget)
+        self.q_mixture = convex.feasible_start(cfg.n_sensors, cfg.budget).q
 
     def warm_start(self, table) -> convex.TransmissionProbabilities:
         """Blend of the trellis policy's vertex with the interior mixture:
@@ -420,8 +425,3 @@ def write_outputs(records, series: MseSeries, out_dir, cfg: ExperimentConfig,
                     fh.write(f"{v},{t + 1},{int(rec.newton_iters[t])},"
                              f"{_g17(rec.newton_decrement[t])},"
                              f"{_g17(rec.newton_residual[t])}\n")
-
-
-def paper_profile(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Scale a desk-profile config up to the full experiment size."""
-    return replace(cfg, particles=5000, trials=500)

@@ -139,20 +139,3 @@ def generate_reports(grid: SensorGrid, bank: QuantizerBank, alloc,
         z = amplitude(grid, i, truth_pos) + grid.sigma * noise[i]
         reports.append(SensorReport(i, m, quantize(z, bank[m])))
     return reports
-
-
-def track_step(p: ParticleSet, alloc, truth, grid: SensorGrid,
-               bank: QuantizerBank, model: MotionModel,
-               rng: np.random.Generator):
-    """One full filter step with a pre-decided allocation.
-
-    Predicts the cloud, generates the true quantized reports at `truth`
-    per the allocation, updates weights, extracts the estimate, then
-    resamples.  Returns (resampled cloud, estimate, reports).
-    """
-    predicted = predict(p, model, rng)
-    noise = rng.standard_normal(grid.n_sensors)
-    reports = generate_reports(grid, bank, alloc, np.asarray(truth)[:2], noise)
-    updated = update_weights(predicted, reports, grid, bank)
-    est = estimate(updated)
-    return resample(updated, rng), est, reports

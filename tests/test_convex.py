@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -33,7 +37,8 @@ def test_feasible_start_degenerate_single_sensor():
     assert row[2] == pytest.approx(1.0 - 2 * cx.INTERIOR_MARGIN)
 
 
-@pytest.mark.parametrize("n,r", [(2, 1), (3, 2), (9, 5), (25, 5)])
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 2), (9, 5), (25, 5), (36, 8),
+                                 (100, 5)])
 def test_feasible_start_interior_and_feasible(n, r):
     sysc = cx.constraint_system(n, r)
     q = cx.feasible_start(n, r)
@@ -41,6 +46,18 @@ def test_feasible_start_interior_and_feasible(n, r):
     assert q.q.min() >= cx.INTERIOR_MARGIN
     assert q.q.max() <= 1.0 - cx.INTERIOR_MARGIN
     assert q.expected_bits() == pytest.approx(r, abs=1e-8)
+    # The closed-form mixture: one shared row whose smallest entry is
+    # 2/(N(R+1)).
+    assert q.q.min() == pytest.approx(2.0 / (n * (r + 1)), rel=1e-12)
+    assert np.all(q.q == q.q[0])
+
+
+def test_import_does_not_load_scipy_optimize():
+    code = "import bittrack.cli, sys; assert 'scipy.optimize' not in sys.modules"
+    src = os.path.dirname(os.path.dirname(cx.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_barrier_value_closed_form_at_half():

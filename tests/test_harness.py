@@ -254,6 +254,15 @@ def test_cli_simulate_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_rejects_convex_past_interior_margin():
+    # N(R+1) = 3600 * 6 = 21,600 unknowns: the closed-form start would sit
+    # closer than INTERIOR_MARGIN to the box.  Checked at load, never run.
+    with pytest.raises(ValueError, match="N\\(R\\+1\\)"):
+        ExperimentConfig(grid_side_count=60, budget=5, policy="convex")
+    ExperimentConfig(grid_side_count=60, budget=4, policy="convex")  # 18,000
+    ExperimentConfig(grid_side_count=60, budget=5, policy="adp")
+
+
 @pytest.mark.parametrize("bad", [
     {"particles": "3"},
     {"p0": "nan"},
@@ -263,6 +272,7 @@ def test_cli_simulate_and_exit_codes(tmp_path, capsys):
     {"mu0": "-8,nan,2,2"},
     {"sigma0_diag": "0.4,-0.4,0.01,0.01"},
     {"grid_side_count": "1", "policy": "convex"},
+    {"grid_side_count": "60", "budget": "5", "policy": "convex"},
 ])
 def test_cli_simulate_rejects_bad_config_before_design(tmp_path, capsys,
                                                       monkeypatch, bad):
@@ -356,6 +366,14 @@ def test_cli_bench_alloc(capsys):
         gap = float(line.split(",")[3])
         if policy != "convex_rounded":
             assert gap >= -1e-9
+
+
+@pytest.mark.parametrize("n, r", [("0", "5"), ("3", "0"), ("36", "8")])
+def test_cli_bench_alloc_bad_sizes_exit_2(capsys, n, r):
+    # (36, 8) has 145,008,513 allocations, above the enumeration cap.
+    rc = cli.main(["bench-alloc", "--n", n, "--r", r, "--instances", "1"])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_simulate_uses_bank_file(tmp_path, capsys):

@@ -22,6 +22,22 @@ def full_array_update_weights(p, reports, grid, bank):
     return ParticleSet(p.states, w / w.sum(), degenerate=p.degenerate)
 
 
+def track_step(p, alloc, truth, grid, bank, motion, rng):
+    """Oracle: one full filter step with a pre-decided allocation.
+
+    Predicts the cloud, generates the true quantized reports at `truth`,
+    updates weights, extracts the estimate, then resamples.  Returns
+    (resampled cloud, estimate, reports).
+    """
+    predicted = tracker.predict(p, motion, rng)
+    noise = rng.standard_normal(grid.n_sensors)
+    reports = tracker.generate_reports(grid, bank, alloc,
+                                       np.asarray(truth)[:2], noise)
+    updated = tracker.update_weights(predicted, reports, grid, bank)
+    est = tracker.estimate(updated)
+    return tracker.resample(updated, rng), est, reports
+
+
 def test_sensor_report_validation():
     SensorReport(0, 2, 3)
     with pytest.raises(ValueError):
@@ -190,7 +206,7 @@ def test_track_step_no_data_returns_predicted_mean(grid9, bank3):
                                   np.random.default_rng(10))
     # replay the same prediction stream to know the predicted cloud
     predicted = tracker.predict(init, mm, np.random.default_rng(11))
-    _, est, reports = tracker.track_step(
+    _, est, reports = track_step(
         init, np.zeros(9, dtype=int), np.array([-7.0, -7.0, 2.0, 2.0]),
         grid9, bank3, mm, np.random.default_rng(11))
     assert reports == []
@@ -204,8 +220,8 @@ def test_track_step_deterministic_under_seed(grid9, bank3):
                                   np.random.default_rng(12))
     alloc = np.array([3, 0, 0, 0, 0, 0, 0, 0, 0])
     truth = np.array([-7.5, -7.5, 2.0, 2.0])
-    run = lambda: tracker.track_step(init, alloc, truth, grid9, bank3, mm,
-                                     np.random.default_rng(13))
+    run = lambda: track_step(init, alloc, truth, grid9, bank3, mm,
+                             np.random.default_rng(13))
     p1, e1, r1 = run()
     p2, e2, r2 = run()
     assert np.array_equal(p1.states, p2.states)
