@@ -3,15 +3,17 @@ the determinant of the total Fisher information matrix.
 
 Policies: exhaustive enumeration (the oracle), one-bit-at-a-time greedy,
 bit-reduction (start at full rate, remove the least harmful bit), a
-stage-per-sensor dynamic-programming trellis using the matrix
-determinant lemma, and nearest-neighbor (all bits to the closest
-sensor).  Every policy is deterministic: ties break to the lowest
-sensor index / smallest bit count, and `matrix_sums` counts 4x4 matrix
-additions (the complexity unit used to compare the schemes).
+stage-per-sensor dynamic-programming trellis, and nearest-neighbor (all
+bits to the closest sensor).  The table policies rank candidates by
+det(J + A) on the 2x2 position block (see `fisher.FimTable`), in the 4x4
+det W's order.  Every policy is deterministic: ties break to the lowest
+sensor index / smallest bit count, and `matrix_sums` counts the paper's
+4x4 matrix additions (the complexity unit used to compare the schemes).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -19,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fisher import FimTable, logdet, total_fim
-from .model import SensorGrid, STATE_DIM
+from .model import SensorGrid
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -34,23 +36,6 @@ class AllocOutcome:
     candidates_examined: int
 
 
-@dataclass(frozen=True)
-class DpTrellis:
-    """Forward-pass record of the allocation trellis.
-
-    logdets[i][r] and fims[i][r] describe the best information state at
-    stage i (sensors processed so far) having spent r bits; chosen[i][r]
-    is the bit count sensor i took on that best path.  Stage 0 is the
-    prior-only root.
-    """
-
-    logdets: np.ndarray = field(repr=False)
-    fims: np.ndarray = field(repr=False)
-    chosen: np.ndarray = field(repr=False)
-    matrix_sums: int
-    candidates_examined: int
-
-
 def enumerate_count(n_sensors: int, budget: int) -> int:
     """Number of ways to split `budget` bits over `n_sensors` channels."""
     if n_sensors < 1 or budget < 0:
@@ -60,22 +45,16 @@ def enumerate_count(n_sensors: int, budget: int) -> int:
 
 @lru_cache(maxsize=32)
 def composition_matrix(n_sensors: int, budget: int) -> np.ndarray:
-    """All bit splits as an (count, n_sensors) int array, colex order."""
-    comp = np.zeros(n_sensors, dtype=np.int64)
-    comp[0] = budget
-    rows = [comp.copy()]
-    while comp[-1] != budget:
-        if comp[0] > 0:
-            comp[0] -= 1
-            comp[1] += 1
-        else:
-            j = int(np.flatnonzero(comp)[0])
-            v = comp[j]
-            comp[j] = 0
-            comp[j + 1] += 1
-            comp[0] = v - 1
-        rows.append(comp.copy())
-    out = np.asarray(rows)
+    """All bit splits as an (count, n_sensors) int array, colex order.
+
+    Stars and bars: each split is the gaps between N-1 bar positions
+    among R+N-1 slots, read right to left."""
+    count = enumerate_count(n_sensors, budget)
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(budget + n_sensors - 1), n_sensors - 1)), dtype=np.int64,
+        count=count * (n_sensors - 1)).reshape(count, n_sensors - 1)
+    gaps = np.diff(bars, axis=1, prepend=-1, append=budget + n_sensors - 1)
+    out = gaps[:, ::-1] - 1
     out.setflags(write=False)
     return out
 
@@ -96,6 +75,12 @@ def _outcome(table: FimTable, alloc: np.ndarray, matrix_sums: int,
                         candidates_examined=candidates)
 
 
+def _det2(m: np.ndarray) -> np.ndarray:
+    """det of symmetric 2x2s (..., 3) = (m00, m01, m11); -inf if not PD."""
+    det = m[..., 0] * m[..., 2] - m[..., 1] * m[..., 1]
+    return np.where((m[..., 0] > 0) & (det > 0), det, -np.inf)
+
+
 def exhaustive(table: FimTable, n_sensors: int, budget: int,
                cap: int = DEFAULT_ENUM_CAP) -> AllocOutcome:
     """Enumerate every split and keep the best determinant.
@@ -107,12 +92,12 @@ def exhaustive(table: FimTable, n_sensors: int, budget: int,
     if count > cap:
         raise ValueError(f"enumeration of {count} candidates exceeds cap {cap}")
     comps = composition_matrix(n_sensors, budget)
-    gathered = table.atoms[np.arange(n_sensors)[None, :], comps]
-    w = table.prior + gathered.sum(axis=1)
-    sign, ld = np.linalg.slogdet(w)
-    ld = np.where(sign > 0, ld, -np.inf)
-    best = ld.max()
-    tied = np.flatnonzero(ld == best)
+    blocks = table.blocks
+    total = np.tile(table.schur, (count, 1))
+    for i in range(n_sensors):
+        total += blocks[i, comps[:, i]]
+    value = _det2(total)
+    tied = np.flatnonzero(value == value.max())
     alloc = min((tuple(comps[j]) for j in tied))
     return _outcome(table, np.asarray(alloc), matrix_sums=n_sensors * count,
                     candidates=count)
@@ -121,147 +106,84 @@ def exhaustive(table: FimTable, n_sensors: int, budget: int,
 def greedy(table: FimTable, n_sensors: int, budget: int) -> AllocOutcome:
     """Add one bit at a time to the sensor giving the largest determinant."""
     _check_budget(table, n_sensors, budget)
+    blocks = table.blocks
+    sensors = np.arange(n_sensors)
     rates = np.zeros(n_sensors, dtype=np.int64)
-    current = table.prior.copy()
+    current = table.schur
     msums = 0
-    candidates = 0
     for _ in range(budget):
-        best_det = -np.inf
-        best_k = -1
-        best_mat = None
-        for k in range(n_sensors):
-            cand = current + table.atoms[k, rates[k] + 1]
-            msums += 1
-            if rates[k] > 0:
-                cand = cand - table.atoms[k, rates[k]]
-                msums += 1
-            candidates += 1
-            det = np.linalg.det(cand)
-            if det > best_det:
-                best_det, best_k, best_mat = det, k, cand
-        rates[best_k] += 1
-        current = best_mat
-    return _outcome(table, rates, msums, candidates)
+        # An addition per sensor, a subtraction per sensor holding bits.
+        msums += n_sensors + int(np.count_nonzero(rates))
+        cand = current + blocks[sensors, rates + 1] - blocks[sensors, rates]
+        k = int(np.argmax(_det2(cand)))
+        rates[k] += 1
+        current = cand[k]
+    return _outcome(table, rates, msums, n_sensors * budget)
 
 
 def gbfos(table: FimTable, n_sensors: int, budget: int) -> AllocOutcome:
     """Start every sensor at the full rate and withdraw the least harmful
     bit until the budget holds ((N-1)*R single-bit reductions)."""
     _check_budget(table, n_sensors, budget)
+    blocks = table.blocks
     rates = np.full(n_sensors, budget, dtype=np.int64)
-    current = table.prior.copy()
-    for k in range(n_sensors):
-        current = current + table.atoms[k, budget]
+    current = table.schur + blocks[:, budget].sum(axis=0)
     msums = n_sensors
     candidates = 0
     for _ in range((n_sensors - 1) * budget):
-        best_det = -np.inf
-        best_k = -1
-        best_mat = None
-        for k in range(n_sensors):
-            if rates[k] <= 0:
-                continue
-            cand = current - table.atoms[k, rates[k]]
-            msums += 1
-            if rates[k] - 1 > 0:
-                cand = cand + table.atoms[k, rates[k] - 1]
-                msums += 1
-            candidates += 1
-            det = np.linalg.det(cand)
-            if det > best_det:
-                best_det, best_k, best_mat = det, k, cand
-        rates[best_k] -= 1
-        current = best_mat
+        active = np.flatnonzero(rates)
+        # A subtraction per active sensor, an addition per one keeping bits.
+        msums += active.size + int(np.count_nonzero(rates[active] > 1))
+        candidates += active.size
+        cand = (current - blocks[active, rates[active]]
+                + blocks[active, rates[active] - 1])
+        j = int(np.argmax(_det2(cand)))
+        rates[active[j]] -= 1
+        current = cand[j]
     return _outcome(table, rates, msums, candidates)
 
 
-def adp_trellis(table: FimTable, n_sensors: int, budget: int) -> DpTrellis:
-    """Forward pass of the sensor-per-stage trellis.
-
-    State r at stage i is the number of bits spent by sensors 1..i; the
-    stage value is the best log-determinant reachable, evaluated
-    incrementally with det(X + A) = det(X) det(I + X^-1 A).  Only the
-    argmax information matrix survives per state, which is what makes
-    the scheme approximate.  Candidate evaluations with k >= 1 bits each
-    cost one 4x4 matrix summation (the I + X^-1 A assembly).
-    """
-    _check_budget(table, n_sensors, budget)
-    if n_sensors < 2:
-        raise ValueError("the trellis needs at least 2 sensors")
-    n_states = budget + 1
-    eye = np.eye(STATE_DIM)
-
-    logdets = np.full((n_sensors, n_states), -np.inf)
-    fims = np.zeros((n_sensors, n_states, STATE_DIM, STATE_DIM))
-    chosen = np.zeros((n_sensors, n_states), dtype=np.int64)
-    msums = 0
-    candidates = 0
-
-    ld_root = logdet(table.prior)
-    root_inv = np.linalg.inv(table.prior) if np.isfinite(ld_root) else None
-
-    # Stage 1: the only path to state r takes k = r bits at sensor 0.
-    for r in range(n_states):
-        fims[0, r] = table.prior + table.atoms[0, r]
-        chosen[0, r] = r
-        if r == 0:
-            logdets[0, r] = ld_root
-            continue
-        msums += 1
-        candidates += 1
-        if root_inv is None:
-            continue
-        sign, gain = np.linalg.slogdet(eye + root_inv @ table.atoms[0, r])
-        logdets[0, r] = ld_root + gain if sign > 0 else -np.inf
-
-    for i in range(1, n_sensors):
-        states = range(n_states) if i < n_sensors - 1 else [budget]
-        prev_inv = [
-            np.linalg.inv(fims[i - 1, r]) if np.isfinite(logdets[i - 1, r]) else None
-            for r in range(n_states)
-        ]
-        for r in states:
-            best_val = -np.inf
-            best_k = 0
-            for k in range(r + 1):
-                if k == 0:
-                    val = logdets[i - 1, r]
-                else:
-                    msums += 1
-                    candidates += 1
-                    if prev_inv[r - k] is None:
-                        continue
-                    sign, gain = np.linalg.slogdet(
-                        eye + prev_inv[r - k] @ table.atoms[i, k])
-                    val = (logdets[i - 1, r - k] + gain) if sign > 0 else -np.inf
-                if val > best_val:
-                    best_val, best_k = val, k
-            logdets[i, r] = best_val
-            chosen[i, r] = best_k
-            fims[i, r] = fims[i - 1, r - best_k] + table.atoms[i, best_k]
-
-    return DpTrellis(logdets=logdets, fims=fims, chosen=chosen,
-                     matrix_sums=msums, candidates_examined=candidates)
-
-
 def adp(table: FimTable, n_sensors: int, budget: int) -> AllocOutcome:
-    """Trellis-based allocation; exact counter 2R + (N-2)R(R+1)/2 for N >= 2."""
+    """Sensor-per-stage trellis; exact counter 2R + (N-2)R(R+1)/2 for N >= 2.
+
+    State r after stage i is the number of bits spent by sensors 0..i.
+    Each state keeps only its best path's position block, which is what
+    makes the scheme approximate (see `suboptimality_witness`).  Every
+    candidate that gives a sensor k >= 1 bits counts one matrix sum.
+    """
     _check_budget(table, n_sensors, budget)
     if n_sensors == 1:
         return _outcome(table, np.array([budget]), matrix_sums=0, candidates=1)
-    trellis = adp_trellis(table, n_sensors, budget)
+    n_states = budget + 1
+    blocks = table.blocks[:, :n_states]
+    # Candidate (r, k) extends the previous stage's state r - k by k bits;
+    # a negative r - k wraps around and is masked out.
+    spent = np.arange(n_states)
+    prev = spent[:, None] - spent
+    feasible = prev >= 0
+    states = table.schur + blocks[0]  # stage 0 reaches state r with k = r
+    chosen = np.zeros((n_sensors, n_states), dtype=np.int64)
+    chosen[0] = spent
+    sums = budget
+    for i in range(1, n_sensors):
+        rows = spent if i < n_sensors - 1 else spent[-1:]
+        sums += int(np.count_nonzero(feasible[rows, 1:]))
+        cand = states[prev[rows]] + blocks[i]
+        value = np.where(feasible[rows], _det2(cand), -np.inf)
+        best = np.argmax(value, axis=1)
+        chosen[i, rows] = best
+        states = cand[np.arange(rows.size), best]
+
     rates = np.zeros(n_sensors, dtype=np.int64)
     state = budget
     for i in range(n_sensors - 1, -1, -1):
-        k = int(trellis.chosen[i, state])
-        rates[i] = k
-        state -= k
-    return _outcome(table, rates, trellis.matrix_sums,
-                    trellis.candidates_examined)
+        rates[i] = chosen[i, state]
+        state -= rates[i]
+    return _outcome(table, rates, sums, sums)
 
 
 def nearest_neighbor(grid: SensorGrid, predicted_pos, n_sensors: int,
-                     budget: int, table: FimTable | None = None) -> AllocOutcome:
+                     budget: int) -> AllocOutcome:
     """All bits to the sensor closest to the predicted target position."""
     if n_sensors != grid.n_sensors:
         raise ValueError("n_sensors does not match the grid")
@@ -269,8 +191,7 @@ def nearest_neighbor(grid: SensorGrid, predicted_pos, n_sensors: int,
     d2 = np.sum((grid.positions - pos) ** 2, axis=1)
     rates = np.zeros(n_sensors, dtype=np.int64)
     rates[int(np.argmin(d2))] = budget  # argmin takes the lowest index on ties
-    value = logdet(total_fim(rates, table)) if table is not None else float("nan")
-    return AllocOutcome(alloc=rates, logdet_value=value, matrix_sums=0,
+    return AllocOutcome(alloc=rates, logdet_value=float("nan"), matrix_sums=0,
                         candidates_examined=n_sensors)
 
 

@@ -37,9 +37,7 @@ def random_fim_table(n_sensors: int, r_max: int,
     for i in range(n_sensors):
         v = rng.normal(size=2)
         scales = np.cumsum(rng.uniform(0.1, 1.0, size=r_max))
-        for m in range(1, r_max + 1):
-            block = scales[m - 1] * np.outer(v, v)
-            atoms[i, m, :2, :2] = block
+        atoms[i, 1:, :2, :2] = scales[:, None, None] * np.outer(v, v)
     g = rng.normal(size=(4, 4))
     prior = g @ g.T + 0.5 * np.eye(4)
     return FimTable(atoms=atoms, prior=prior)
@@ -48,13 +46,8 @@ def random_fim_table(n_sensors: int, r_max: int,
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
-        overrides = {}
-        if args.policy is not None:
-            overrides["policy"] = args.policy
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.trials is not None:
-            overrides["trials"] = args.trials
+        overrides = {k: getattr(args, k) for k in ("policy", "seed", "trials")
+                     if getattr(args, k) is not None}
         if overrides:
             cfg = replace(cfg, **overrides)
         bank = load_bank(cfg.bank_file) if cfg.bank_file else None
@@ -110,6 +103,9 @@ def cmd_bench_alloc(args) -> int:
               f"cap {allocators.DEFAULT_ENUM_CAP}", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
+    sys_c = convex.constraint_system(args.n, args.r)
+    settings = convex.default_settings(args.n, args.r)
+    start = convex.feasible_start(args.n, args.r)
     print("instance,policy,logdet,gap_to_exhaustive,matrix_sums,candidates")
     try:
         for inst in range(args.instances):
@@ -121,10 +117,7 @@ def cmd_bench_alloc(args) -> int:
                 "gbfos": allocators.gbfos(table, args.n, args.r),
                 "greedy": allocators.greedy(table, args.n, args.r),
             }
-            sys_c = convex.constraint_system(args.n, args.r)
-            q_star, diag = convex.newton_solve(
-                table, sys_c, convex.default_settings(args.n, args.r),
-                convex.feasible_start(args.n, args.r))
+            q_star, diag = convex.newton_solve(table, sys_c, settings, start)
             rates = convex.round_transmission(q_star, args.r)
             outcomes["convex_rounded"] = allocators.AllocOutcome(
                 alloc=rates, logdet_value=logdet(total_fim(rates, table)),

@@ -64,8 +64,7 @@ class TransmissionProbabilities:
         if np.max(np.abs(rows - 1.0)) > row_tol:
             raise ValueError("rows must sum to 1")
         if budget is not None:
-            bits = float(np.sum(self.q * np.arange(self.q.shape[1])))
-            if abs(bits - budget) > budget_tol:
+            if abs(self.expected_bits() - budget) > budget_tol:
                 raise ValueError("expected bit total does not match the budget")
 
 

@@ -5,12 +5,13 @@ whose magnitude is set by the information kernel `kappa`; expected
 contributions are particle averages over the predicted cloud, which
 read the kernel from its cached spline table.  The prior FIM comes
 from a Gaussian approximation of the cloud.  Totals are ranked by
-log-determinant (D-optimality).
+determinant (D-optimality), on the 2x2 position block (`FimTable`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,8 @@ class FimTable:
 
     atoms[i, m] is the 4x4 expected contribution of sensor i reporting
     at rate m (atoms[:, 0] are all zero); prior is the 4x4 prior FIM.
+    Atoms are zero outside the position block, so det(prior + A) =
+    det(P_vv) det(J + A) with J = `schur`, A a sum of `blocks`.
     """
 
     atoms: np.ndarray = field(repr=False)
@@ -50,6 +53,25 @@ class FimTable:
     @property
     def r_max(self) -> int:
         return self.atoms.shape[1] - 1
+
+    @cached_property
+    def schur(self) -> np.ndarray:
+        """J = P_pp - P_pv P_vv^-1 P_vp as (j00, j01, j11); P_vv must be PD."""
+        p = self.prior
+        half = np.linalg.solve(np.linalg.cholesky(p[2:, 2:]), p[2:, :2])
+        j = p[:2, :2] - half.T @ half
+        return np.array([j[0, 0], 0.5 * (j[0, 1] + j[1, 0]), j[1, 1]])
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """The atoms' position blocks as (N, R+1, 3) (a00, a01, a11); raises
+        ValueError unless each is exactly symmetric with zeros elsewhere."""
+        a = self.atoms
+        if np.any(a[..., 2:, :]) or np.any(a[..., :2, 2:]):
+            raise ValueError("atoms must be zero outside the position block")
+        if np.any(a[..., 0, 1] != a[..., 1, 0]):
+            raise ValueError("atom position blocks must be symmetric")
+        return np.stack([a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]], axis=-1)
 
 
 def _geometry(grid: SensorGrid, sensors: np.ndarray, pos: np.ndarray):

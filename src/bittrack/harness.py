@@ -16,10 +16,11 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
-from . import allocators, convex, tracker
+from . import allocators, convex, quantizer, tracker
 from .fisher import build_fim_table
 from .model import build_grid, build_motion
 from .quantizer import QuantizerBank, build_bank, load_bank
@@ -84,15 +85,18 @@ class ExperimentConfig:
         if self.policy == "convex" and unknowns > convex.MAX_UNKNOWNS:
             raise ValueError(f"the convex policy needs N(R+1) <= "
                              f"{convex.MAX_UNKNOWNS}, not {unknowns}")
+        # Table policies tabulate kappa on a grid that grows as sqrt(p0)/sigma.
+        segments = quantizer.kernel_segments(self.sigma, math.sqrt(self.p0))
+        if self.policy != "nearest" and segments > quantizer.MAX_KERNEL_SEGMENTS:
+            raise ValueError(f"a kernel table of {segments:.3g} segments "
+                             f"exceeds {quantizer.MAX_KERNEL_SEGMENTS}")
         count = allocators.enumerate_count(self.n_sensors, self.budget)
         if self.policy == "exhaustive" and count > self.exhaustive_cap:
             raise ValueError(f"exhaustive_cap {self.exhaustive_cap} is below "
                              f"the {count} allocations to enumerate")
-        object.__setattr__(self, "mu0", tuple(float(x) for x in self.mu0))
-        object.__setattr__(self, "sigma0_diag",
-                           tuple(float(x) for x in self.sigma0_diag))
         for name in ("mu0", "sigma0_diag"):
-            vec = getattr(self, name)
+            vec = tuple(float(x) for x in getattr(self, name))
+            object.__setattr__(self, name, vec)
             if len(vec) != 4 or not all(math.isfinite(x) for x in vec):
                 raise ValueError(f"{name} must hold 4 finite entries")
         if min(self.sigma0_diag) < 0:
@@ -153,11 +157,22 @@ class _Shared:
             self.bank = _BANK_CACHE[key]
         if self.bank.r_max < cfg.budget:
             raise ValueError("quantizer bank does not cover the bit budget")
-        self.constraints = convex.constraint_system(cfg.n_sensors, cfg.budget)
-        self.settings = convex.default_settings(
-            cfg.n_sensors, cfg.budget, cfg.tau_scale,
-            epsilon=cfg.epsilon, max_iters=cfg.max_iters)
-        self.q_mixture = convex.feasible_start(cfg.n_sensors, cfg.budget).q
+        self.cfg = cfg
+
+    # The convex objects are dense in N(R+1), so only convex steps build them.
+    @cached_property
+    def constraints(self) -> convex.ConstraintSystem:
+        return convex.constraint_system(self.cfg.n_sensors, self.cfg.budget)
+
+    @cached_property
+    def settings(self) -> convex.BarrierSettings:
+        return convex.default_settings(
+            self.cfg.n_sensors, self.cfg.budget, self.cfg.tau_scale,
+            epsilon=self.cfg.epsilon, max_iters=self.cfg.max_iters)
+
+    @cached_property
+    def q_mixture(self) -> np.ndarray:
+        return convex.feasible_start(self.cfg.n_sensors, self.cfg.budget).q
 
     def warm_start(self, table) -> convex.TransmissionProbabilities:
         """Blend of the trellis policy's vertex with the interior mixture:
@@ -384,8 +399,8 @@ def _g17(x: float) -> str:
 
 def write_outputs(records, series: MseSeries, out_dir, cfg: ExperimentConfig,
                   summary: dict) -> None:
-    """Write mse.csv, trials.csv, summary.csv (and Newton diagnostics for
-    the convex policy) into out_dir."""
+    """Write mse.csv, trials.csv, summary.csv (one column per summary
+    key) and, for the convex policy, newton.csv into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
 
     with open(os.path.join(out_dir, "mse.csv"), "w") as fh:
@@ -404,18 +419,8 @@ def write_outputs(records, series: MseSeries, out_dir, cfg: ExperimentConfig,
                          f"{_g17(rec.estimates[t, 1])},{alloc}\n")
 
     with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write("policy,mean_bits,std_bits,mean_runtime,mean_matrix_sums,"
-                 "mean_candidates,mean_newton_iters,degenerate_trials\n")
-        fh.write(",".join([
-            summary["policy"],
-            _g17(summary["mean_bits"]),
-            _g17(summary["std_bits"]),
-            _g17(summary["mean_runtime"]),
-            _g17(summary["mean_matrix_sums"]),
-            _g17(summary["mean_candidates"]),
-            _g17(summary["mean_newton_iters"]),
-            str(summary["degenerate_trials"]),
-        ]) + "\n")
+        fh.write(",".join(summary) + "\n")
+        fh.write(",".join(_format_value(v) for v in summary.values()) + "\n")
 
     if cfg.policy == "convex":
         with open(os.path.join(out_dir, "newton.csv"), "w") as fh:

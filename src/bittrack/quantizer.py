@@ -12,7 +12,6 @@ sensor/target geometry, and stored in a bank file.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -149,6 +148,15 @@ _TABLE_PAD = 16
 # Nodes per exact-kernel call while tabulating, which bounds the size
 # of kappa's (nodes, levels) temporaries.
 _TABLE_CHUNK = 512
+# Largest grid a sensor model may ask for (node arrays stay <= 32 MB);
+# the paper's model needs 4,048.
+MAX_KERNEL_SEGMENTS = 2**20
+
+
+def kernel_segments(sigma: float, a_max: float) -> float:
+    """Number of spline segments in a kernel table over [0, a_max]; a
+    float, so that a grid too large to count reads inf."""
+    return float(np.ceil(a_max * _TABLE_NODES_PER_SIGMA / sigma))
 
 
 @dataclass(frozen=True)
@@ -194,7 +202,7 @@ def kernel_table(thr: ThresholdVector, sigma: float,
 def _kernel_table(interior: bytes, m: int, sigma: float,
                   a_max: float) -> KernelTable:
     thr = ThresholdVector(m, np.frombuffer(interior))
-    segments = math.ceil(a_max * _TABLE_NODES_PER_SIGMA / sigma)
+    segments = int(kernel_segments(sigma, a_max))
     h = a_max / segments
     x = h * np.arange(-_TABLE_PAD, segments + _TABLE_PAD + 1)
     y = np.concatenate([kappa(m, x[j:j + _TABLE_CHUNK], sigma, thr)

@@ -1,9 +1,27 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from bittrack import allocators as al, model
+from bittrack import allocators as al, model, tracker
 from bittrack.cli import random_fim_table
-from bittrack.fisher import FimTable, logdet, total_fim
+from bittrack.fisher import FimTable, build_fim_table, logdet, total_fim
+
+
+def brute_force_4x4(table, n, r):
+    """Oracle: every split in lexicographic order, ranked by the 4x4
+    slogdet; the first maximum wins."""
+    best, best_value = None, -np.inf
+    for alloc in itertools.product(range(r + 1), repeat=n):
+        if sum(alloc) != r:
+            continue
+        w = table.prior.copy()
+        for i, m in enumerate(alloc):
+            w = w + table.atoms[i, m]
+        sign, value = np.linalg.slogdet(w)
+        if sign > 0 and value > best_value:
+            best, best_value = alloc, value
+    return list(best)
 
 
 def test_enumerate_count():
@@ -62,6 +80,145 @@ def test_exhaustive_tie_breaks_lexicographically():
     atoms[1] = atoms[0]
     tied = FimTable(atoms=atoms, prior=table.prior)
     assert al.exhaustive(tied, 2, 1).alloc.tolist() == [0, 1]  # lex smaller
+    assert brute_force_4x4(tied, 2, 1) == [0, 1]
+    # Three identical sensors at R=2: six splits, three pairwise ties.
+    atoms = random_fim_table(3, 2, rng).atoms
+    atoms[1] = atoms[2] = atoms[0]
+    tied3 = FimTable(atoms=atoms, prior=table.prior)
+    assert al.exhaustive(tied3, 3, 2).alloc.tolist() == \
+        brute_force_4x4(tied3, 3, 2)
+
+
+def test_exhaustive_matches_4x4_oracle():
+    rng = np.random.default_rng(13)
+    for _ in range(120):
+        n = int(rng.integers(1, 5))
+        r = int(rng.integers(1, 4))
+        table = random_fim_table(n, r + int(rng.integers(0, 2)), rng)
+        assert al.exhaustive(table, n, r).alloc.tolist() == \
+            brute_force_4x4(table, n, r)
+
+
+def _tracker_tables(grid, bank):
+    rng = np.random.default_rng(14)
+    for mean in ([-8.0, -8.0, 2.0, 2.0], [0.5, 3.0, -1.0, 0.0]):
+        cloud = tracker.init_particles(np.array(mean),
+                                       np.diag([0.5, 0.5, 0.01, 0.01]),
+                                       300, rng)
+        yield build_fim_table(grid, cloud, bank.r_max, bank)
+
+
+def test_position_block_identity(grid9, bank3):
+    # logdet W = logdet P_vv + log det2(J + A) for every allocation.
+    rng = np.random.default_rng(15)
+    tables = [random_fim_table(int(rng.integers(1, 7)), 3, rng)
+              for _ in range(20)]
+    tables += list(_tracker_tables(grid9, bank3))
+    for table in tables:
+        n = table.n_sensors
+        j = table.schur
+        ld_vv = logdet(table.prior[2:, 2:])
+        for _ in range(10):
+            alloc = rng.integers(0, table.r_max + 1, size=n)
+            a = j + table.blocks[np.arange(n), alloc].sum(axis=0)
+            det2 = a[0] * a[2] - a[1] ** 2
+            assert ld_vv + np.log(det2) == pytest.approx(
+                logdet(total_fim(alloc, table)), abs=1e-12)
+
+
+def test_blocks_reject_off_block_and_asymmetric_atoms():
+    table = random_fim_table(2, 2, np.random.default_rng(16))
+    assert table.blocks.shape == (2, 3, 3)
+    for where in [(0, 1, 2, 2), (1, 2, 0, 3), (1, 1, 3, 1)]:
+        atoms = table.atoms.copy()
+        atoms[where] = 1e-300
+        with pytest.raises(ValueError, match="outside"):
+            FimTable(atoms=atoms, prior=table.prior).blocks
+    atoms = table.atoms.copy()
+    atoms[1, 2, 0, 1] = np.nextafter(atoms[1, 2, 1, 0], np.inf)
+    with pytest.raises(ValueError, match="symmetric"):
+        FimTable(atoms=atoms, prior=table.prior).blocks
+
+
+def test_schur_needs_positive_definite_velocity_block():
+    table = random_fim_table(2, 2, np.random.default_rng(17))
+    prior = table.prior.copy()
+    prior[2:, :] = prior[:, 2:] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        FimTable(atoms=table.atoms, prior=prior).schur
+
+
+def _value_4x4(w):
+    sign, value = np.linalg.slogdet(w)
+    return value if sign > 0 else -np.inf
+
+
+def greedy_4x4(table, n, r):
+    """Reference loop: add the bit whose 4x4 total ranks first."""
+    rates, current, msums = [0] * n, table.prior, 0
+    for _ in range(r):
+        cands = [current + table.atoms[k, rates[k] + 1] - table.atoms[k, rates[k]]
+                 for k in range(n)]
+        msums += n + sum(m > 0 for m in rates)
+        k = int(np.argmax([_value_4x4(w) for w in cands]))
+        rates[k] += 1
+        current = cands[k]
+    return rates, msums, n * r
+
+
+def gbfos_4x4(table, n, r):
+    """Reference loop: from full rate, drop the bit whose removal leaves
+    the 4x4 total ranked first."""
+    rates = [r] * n
+    current = table.prior + table.atoms[:, r].sum(axis=0)
+    msums, candidates = n, 0
+    for _ in range((n - 1) * r):
+        active = [k for k in range(n) if rates[k] > 0]
+        cands = [current - table.atoms[k, rates[k]] + table.atoms[k, rates[k] - 1]
+                 for k in active]
+        msums += len(active) + sum(rates[k] > 1 for k in active)
+        candidates += len(active)
+        j = int(np.argmax([_value_4x4(w) for w in cands]))
+        rates[active[j]] -= 1
+        current = cands[j]
+    return rates, msums, candidates
+
+
+def adp_4x4(table, n, r):
+    """Reference loop: the stage-per-sensor trellis keeping each state's
+    best 4x4 total and path."""
+    states = [(table.prior + table.atoms[0, s], [s]) for s in range(r + 1)]
+    msums = r
+    for i in range(1, n):
+        targets = range(r + 1) if i < n - 1 else [r]
+        nxt = {}
+        for s in targets:
+            cands = [(states[s - k][0] + table.atoms[i, k], states[s - k][1] + [k])
+                     for k in range(s + 1)]
+            msums += s
+            nxt[s] = cands[int(np.argmax([_value_4x4(w) for w, _ in cands]))]
+        states = nxt
+    return states[r][1], msums, msums
+
+
+def test_table_policies_match_4x4_loops(grid9, bank3):
+    rng = np.random.default_rng(18)
+    cases = [(random_fim_table(n, r, rng), r)
+             for n, r in rng.integers(2, 6, size=(60, 2))]
+    cases += [(table, 3) for table in _tracker_tables(grid9, bank3)]
+    # Identical sensors with integer entries: every sum is exact, so the
+    # ties are exact and must go to the first maximum.
+    atoms = np.zeros((3, 4, 4, 4))
+    atoms[:, 1:, :2, :2] = np.arange(1, 4)[:, None, None] * [[1.0, 2.0],
+                                                             [2.0, 5.0]]
+    cases += [(FimTable(atoms=atoms, prior=np.eye(4)), r) for r in (2, 3)]
+    for table, r in cases:
+        n = table.n_sensors
+        for policy, ref in ((al.greedy, greedy_4x4), (al.gbfos, gbfos_4x4),
+                            (al.adp, adp_4x4)):
+            out = policy(table, n, r)
+            assert (out.alloc.tolist(), out.matrix_sums,
+                    out.candidates_examined) == ref(table, n, r)
 
 
 def test_greedy_basics():
@@ -109,27 +266,6 @@ def test_adp_single_sensor_convention():
     out = al.adp(table, 1, 4)
     assert out.alloc.tolist() == [4]
     assert out.matrix_sums == 0
-
-
-def test_adp_recursion_identity():
-    # Trellis stage values must telescope exactly to a direct total-FIM
-    # log-determinant along the backtracked path.
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        n = int(rng.integers(2, 6))
-        r = int(rng.integers(1, 5))
-        table = random_fim_table(n, r, rng)
-        trellis = al.adp_trellis(table, n, r)
-        out = al.adp(table, n, r)
-        assert trellis.logdets[n - 1, r] == pytest.approx(out.logdet_value,
-                                                          abs=1e-9)
-        # every stored state logdet matches its stored FIM
-        for i in range(n):
-            states = range(r + 1) if i < n - 1 else [r]
-            for s in states:
-                if np.isfinite(trellis.logdets[i, s]):
-                    assert trellis.logdets[i, s] == pytest.approx(
-                        logdet(trellis.fims[i, s]), abs=1e-9)
 
 
 def test_policies_dominated_by_exhaustive():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bittrack import cli, harness, quantizer
+from bittrack import cli, convex, harness, quantizer
 from bittrack.harness import ConfigError, ExperimentConfig
 
 from conftest import BANK_FILE
@@ -157,6 +157,18 @@ def test_alloc_runtime_excludes_table_build(tiny_cfg, tiny_bank, monkeypatch):
     assert np.all(rec.alloc_runtime < 0.02)
 
 
+def test_table_policy_builds_no_convex_objects(tiny_cfg, tiny_bank,
+                                               monkeypatch):
+    def no_convex(*args, **kwargs):
+        raise AssertionError("convex objects built for a table policy")
+
+    for name in ("constraint_system", "default_settings", "feasible_start"):
+        monkeypatch.setattr(convex, name, no_convex)
+    cfg = replace(tiny_cfg, policy="adp", steps=2)
+    rec = harness.run_trial(cfg, 0, harness._Shared(cfg, bank=tiny_bank))
+    assert np.all(rec.allocs.sum(axis=1) == cfg.budget)
+
+
 def test_aggregate_series_perfect_estimates(tiny_cfg, tiny_bank):
     sh = harness._Shared(tiny_cfg, bank=tiny_bank)
     rec = harness.run_trial(tiny_cfg, 0, sh)
@@ -263,6 +275,21 @@ def test_config_rejects_convex_past_interior_margin():
     ExperimentConfig(grid_side_count=60, budget=5, policy="adp")
 
 
+def test_config_rejects_kernel_grid_past_limit():
+    # ceil(128 sqrt(p0)/sigma) spline segments: 1.28e8, 4.0e9 and an
+    # overflow (inf) here, against 4,048 at the defaults.  Checked at
+    # load, never run.
+    for bad in ({"p0": 1e12}, {"sigma": 1e-6}, {"sigma": 1e-320}):
+        with pytest.raises(ValueError, match="kernel table"):
+            ExperimentConfig(policy="adp", **bad)
+        ExperimentConfig(policy="nearest", **bad)  # builds no table
+    limit = quantizer.MAX_KERNEL_SEGMENTS
+    assert quantizer.kernel_segments(1.0, 8192.0) == limit
+    ExperimentConfig(policy="exhaustive", p0=8192.0**2)
+    with pytest.raises(ValueError, match="kernel table"):
+        ExperimentConfig(policy="exhaustive", p0=8192.0**2, sigma=0.999)
+
+
 @pytest.mark.parametrize("bad", [
     {"particles": "3"},
     {"p0": "nan"},
@@ -273,6 +300,8 @@ def test_config_rejects_convex_past_interior_margin():
     {"sigma0_diag": "0.4,-0.4,0.01,0.01"},
     {"grid_side_count": "1", "policy": "convex"},
     {"grid_side_count": "60", "budget": "5", "policy": "convex"},
+    {"p0": "1e12"},
+    {"sigma": "1e-6"},
 ])
 def test_cli_simulate_rejects_bad_config_before_design(tmp_path, capsys,
                                                       monkeypatch, bad):
