@@ -14,8 +14,8 @@ import numpy as np
 
 from . import allocators, convex
 from .fisher import FimTable, logdet, total_fim
-from .harness import (POLICIES, ConfigError, load_config, run_experiment,
-                      write_outputs)
+from .harness import (POLICIES, ConfigError, check_bank, load_config,
+                      run_experiment, write_outputs)
 from .quantizer import build_bank, load_bank, save_bank
 
 
@@ -51,15 +51,17 @@ def cmd_simulate(args) -> int:
         if overrides:
             cfg = replace(cfg, **overrides)
         bank = load_bank(cfg.bank_file) if cfg.bank_file else None
-        if bank is not None and bank.r_max < cfg.budget:
-            raise ValueError(f"bank_file covers rates 0..{bank.r_max}, not the budget")
+        if bank is not None:
+            check_bank(cfg, bank)
     except (ConfigError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         records, series, summary = run_experiment(cfg, bank=bank)
         write_outputs(records, series, args.out, cfg, summary)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
+        # Config and bank are checked above, so a ValueError here is a
+        # run-time numerical one (a non-interior Newton start, say).
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"policy={summary['policy']} mean_bits={summary['mean_bits']:.4f} "

@@ -6,18 +6,21 @@ Each sensor i carries a row q[i, :] of probabilities over the rates
 expected total rate to equal the budget R.  The [0, 1] box is folded
 into the objective as a log barrier, and the resulting equality-
 constrained convex problem is solved by a feasible-start Newton method
-with KKT block elimination.  Decoding is probabilistic: each sensor
+with KKT block elimination.  The atoms live in the 2x2 position block,
+so the Hessian is diagonal plus rank 3 and each step costs O(N(R+1))
+plus one (N+1)x(N+1) solve.  Decoding is probabilistic: each sensor
 samples its rate from its row, so the budget holds in expectation only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .fisher import FimTable, logdet
+from .fisher import FimTable
 
 # Smallest distance to the [0, 1] box boundary required of a barrier
 # starting point.
@@ -117,6 +120,7 @@ class NewtonDiagnostics:
     decrement_half_sq: float
     max_constraint_residual: float
     phi_values: tuple = ()  # barrier objective after each accepted step
+    backtracks: int = 0  # rejected line-search trials
 
 
 def constraint_system(n_sensors: int, r_max: int) -> ConstraintSystem:
@@ -162,33 +166,66 @@ def _information_matrix(qm: np.ndarray, table: FimTable) -> np.ndarray:
     return table.prior + np.tensordot(qm, table.atoms, axes=([0, 1], [0, 1]))
 
 
-def barrier_value(q, table: FimTable, tau: float) -> float:
-    """Barrier objective: -(log det W(q) + tau * sum(log q + log(1-q))).
+def _logdet2(k00: float, k01: float, k11: float) -> float:
+    """log det of a symmetric 2x2; -inf unless positive definite."""
+    det = k00 * k11 - k01 * k01
+    return math.log(det) if k00 > 0.0 and det > 0.0 else -math.inf
 
-    +inf outside the open box or when W is not positive definite, which
-    lets the backtracking line search enforce the domain.
+
+def _position_sum(qm: np.ndarray, table: FimTable) -> np.ndarray:
+    """J + A(q) as (k00, k01, k11), A(q) = sum q[i, m] blocks[i, m]."""
+    return table.schur + np.einsum("im,imk->k", qm, table.blocks)
+
+
+def _flat_blocks(table: FimTable) -> np.ndarray:
+    """The position blocks as (N(R+1), 3) rows in flat (rate-major) order."""
+    return table.blocks.transpose(1, 0, 2).reshape(-1, 3)
+
+
+def _gradient(q: np.ndarray, table: FimTable, vectors: np.ndarray,
+              tau: float):
+    """Flat gradient at the flat point q, and S = (J + A(q))^-1 as
+    (s00, s01, s11)."""
+    qm = q.reshape(table.r_max + 1, table.n_sensors).T
+    k00, k01, k11 = _position_sum(qm, table)
+    det = k00 * k11 - k01 * k01
+    s00, s01, s11 = k11 / det, -k01 / det, k00 / det
+    grad = (-(vectors @ np.array([s00, 2.0 * s01, s11]))
+            - tau / q + tau / (1.0 - q))
+    return grad, (s00, s01, s11)
+
+
+def barrier_value(q, table: FimTable, tau: float) -> float:
+    """Barrier objective: -(log det W(q) + tau * sum(log q + log(1-q))),
+    with log det W = log det P_vv + log det2(J + A(q)) on the position
+    block (see `fisher.FimTable`).
+
+    +inf outside the open box or when J + A is not positive definite,
+    which lets the backtracking line search enforce the domain.
     """
     qm = _as_q_matrix(q, table.n_sensors, table.r_max)
     if np.any(qm <= 0.0) or np.any(qm >= 1.0):
         return np.inf
-    ld = logdet(_information_matrix(qm, table))
+    p = table.prior
+    ld = (_logdet2(p[2, 2], p[2, 3], p[3, 3])
+          + _logdet2(*_position_sum(qm, table)))
     if not np.isfinite(ld):
         return np.inf
     return -(ld + tau * float(np.sum(np.log(qm) + np.log1p(-qm))))
 
 
 def barrier_gradient(q, table: FimTable, tau: float) -> np.ndarray:
-    """Flat gradient: -(tr(W^-1 atom[i,m])) - tau/q + tau/(1-q)."""
-    qm = _as_q_matrix(q, table.n_sensors, table.r_max)
-    w_inv = np.linalg.inv(_information_matrix(qm, table))
-    trace_terms = np.einsum("ab,imab->im", w_inv, table.atoms)
-    grad = -trace_terms - tau / qm + tau / (1.0 - qm)
-    return grad.T.ravel()
+    """Flat gradient: -V w - tau/q + tau/(1-q), where the rows of V are
+    the atoms' position blocks (a00, a01, a11) and w = (s00, 2 s01, s11)
+    with S = (J + A(q))^-1, so that V w = tr(W^-1 atom[i, m])."""
+    flat = _as_q_matrix(q, table.n_sensors, table.r_max).T.ravel()
+    return _gradient(flat, table, _flat_blocks(table), tau)[0]
 
 
 def barrier_hessian(q, table: FimTable, tau: float) -> np.ndarray:
     """Flat Hessian: Gram matrix of W^-1-weighted atoms plus the barrier
-    diagonal tau * (1/q^2 + 1/(1-q)^2)."""
+    diagonal tau * (1/q^2 + 1/(1-q)^2).  Dense reference for the
+    structured step that `newton_solve` takes."""
     n, r1 = table.n_sensors, table.r_max + 1
     qm = _as_q_matrix(q, n, r1 - 1)
     w_inv = np.linalg.inv(_information_matrix(qm, table))
@@ -203,7 +240,8 @@ def solve_kkt(hessian: np.ndarray, sys: ConstraintSystem, grad: np.ndarray):
     """Newton step and dual via block elimination of the KKT system.
 
     Solves H step + A^T dual = -grad with A step = 0 using a Cholesky
-    factor of H and the Schur complement S = -A H^-1 A^T.
+    factor of H and the Schur complement S = -A H^-1 A^T.  Dense
+    reference for the structured step that `newton_solve` takes.
     """
     factor = scipy.linalg.cho_factor(hessian)
     h_inv_at = scipy.linalg.cho_solve(factor, sys.A.T)
@@ -217,6 +255,35 @@ def solve_kkt(hessian: np.ndarray, sys: ConstraintSystem, grad: np.ndarray):
     return step, dual
 
 
+def _newton_step(q: np.ndarray, table: FimTable, vectors: np.ndarray,
+                 tau: float, sys: ConstraintSystem):
+    """Gradient and Newton step at the flat point q.
+
+    The Hessian is D + V M V^T: D the barrier diagonal, V = `vectors`
+    the (N(R+1), 3) flat position blocks, and M = T^T (S (x) S) T the
+    3x3 form of tr(S X S Y) on (x00, x01, x11) vectors.  With M = L L^T
+    and U = D^-1/2 V L, Woodbury gives
+    H^-1 = D^-1/2 (I - U (I + U^T U)^-1 U^T) D^-1/2; this scaled form
+    keeps the step as accurate as a Cholesky solve of H when D is small
+    against V M V^T.  The (N+1)x(N+1) Schur complement A H^-1 A^T of the
+    constraints then gives the dual, as in `solve_kkt`.
+    """
+    grad, (s00, s01, s11) = _gradient(q, table, vectors, tau)
+    m = np.array([[s00 * s00, 2.0 * s00 * s01, s01 * s01],
+                  [2.0 * s00 * s01, 2.0 * (s00 * s11 + s01 * s01),
+                   2.0 * s01 * s11],
+                  [s01 * s01, 2.0 * s01 * s11, s11 * s11]])
+    scale = 1.0 / np.sqrt(tau * (1.0 / q**2 + 1.0 / (1.0 - q) ** 2))
+    u = scale[:, None] * (vectors @ np.linalg.cholesky(m))
+    # H^-1 applied to the columns of A^T and to the gradient at once.
+    x = np.column_stack([sys.A.T, grad]) * scale[:, None]
+    x -= u @ np.linalg.solve(np.eye(3) + u.T @ u, u.T @ x)
+    x *= scale[:, None]
+    h_inv_at, h_inv_g = x[:, :-1], x[:, -1]
+    dual = np.linalg.solve(sys.A @ h_inv_at, -(sys.A @ h_inv_g))
+    return grad, -(h_inv_g + h_inv_at @ dual)
+
+
 def newton_solve(table: FimTable, sys: ConstraintSystem,
                  settings: BarrierSettings,
                  q0: TransmissionProbabilities):
@@ -224,8 +291,9 @@ def newton_solve(table: FimTable, sys: ConstraintSystem,
 
     Stops when the Newton decrement satisfies lambda^2/2 <= epsilon, at
     which point the current (not yet stepped) iterate is returned, so
-    the reported point itself meets the stopping criterion.  Returns
-    (TransmissionProbabilities, NewtonDiagnostics).
+    the reported point itself meets the stopping criterion.  The module's
+    `barrier_value` is called once at the start and once per line-search
+    trial.  Returns (TransmissionProbabilities, NewtonDiagnostics).
     """
     q = _as_q_matrix(q0, sys.n_sensors, sys.r_max).T.ravel().copy()
     value = barrier_value(q, table, settings.tau)
@@ -233,18 +301,19 @@ def newton_solve(table: FimTable, sys: ConstraintSystem,
         raise ValueError("starting point is not strictly interior/feasible")
     max_resid = float(np.max(np.abs(sys.A @ q - sys.b)))
     values = [value]
+    vectors = _flat_blocks(table)
+    backtracks = 0
 
     for iteration in range(1, settings.max_iters + 1):
-        grad = barrier_gradient(q, table, settings.tau)
-        hess = barrier_hessian(q, table, settings.tau)
-        step, _dual = solve_kkt(hess, sys, grad)
+        grad, step = _newton_step(q, table, vectors, settings.tau, sys)
         lam_sq = max(float(-grad @ step), 0.0)
         if lam_sq / 2.0 <= settings.epsilon:
             qm = q.reshape(sys.r_max + 1, sys.n_sensors).T
             diag = NewtonDiagnostics(iterations=iteration,
                                      decrement_half_sq=lam_sq / 2.0,
                                      max_constraint_residual=max_resid,
-                                     phi_values=tuple(values))
+                                     phi_values=tuple(values),
+                                     backtracks=backtracks)
             return TransmissionProbabilities(qm), diag
 
         t = 1.0
@@ -254,6 +323,7 @@ def newton_solve(table: FimTable, sys: ConstraintSystem,
             if candidate <= value + settings.alpha_ls * t * g_dot_step:
                 break
             t *= settings.beta_ls
+            backtracks += 1
         else:
             raise np.linalg.LinAlgError("backtracking line search failed")
         q = q + t * step

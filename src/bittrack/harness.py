@@ -135,6 +135,19 @@ class MseSeries:
     active_sensors: np.ndarray = field(repr=False)
 
 
+def check_bank(cfg: ExperimentConfig, bank: QuantizerBank) -> None:
+    """Raise ValueError unless the bank covers the budget and was designed
+    for the configured area and sensor model."""
+    if bank.r_max < cfg.budget:
+        raise ValueError(f"quantizer bank covers rates 0..{bank.r_max}, "
+                         f"not the budget {cfg.budget}")
+    if bank.area_side != cfg.area_side or bank.grid_params != cfg.grid_params:
+        raise ValueError(
+            f"quantizer bank was designed for area_side {bank.area_side} and "
+            f"(p0, alpha, n_exp, sigma) {bank.grid_params}, not "
+            f"{cfg.area_side} and {cfg.grid_params}")
+
+
 class _Shared:
     """Per-configuration objects reused across trials."""
 
@@ -155,8 +168,7 @@ class _Shared:
                     cfg.budget, cfg.area_side, cfg.grid_params,
                     sample_count=cfg.bank_samples, seed=cfg.bank_seed)
             self.bank = _BANK_CACHE[key]
-        if self.bank.r_max < cfg.budget:
-            raise ValueError("quantizer bank does not cover the bit budget")
+        check_bank(cfg, self.bank)
         self.cfg = cfg
 
     # The convex objects are dense in N(R+1), so only convex steps build them.

@@ -12,6 +12,12 @@ BANK_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                          "bank_r5.json")
 
 
+def pytest_addoption(parser):
+    parser.addoption("--update-digests", action="store_true",
+                     help="rewrite tests/desk_digests.json from the desk runs "
+                          "instead of checking against it")
+
+
 @pytest.fixture(scope="session")
 def bank5():
     """Full-size quantizer bank matching the harness defaults."""

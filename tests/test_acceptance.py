@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per criterion, each printing a PASS line.
+"""Acceptance gate: one test per criterion, each printing a PASS line,
+and a check of every desk trial's outputs against committed digests.
 
 The desk-scale Monte Carlo runs (100 trials, N=9, R=5, 1000 particles)
 are executed once per (policy, process-noise) pair and shared by the
@@ -6,6 +7,9 @@ criteria that consume them.
 """
 
 import filecmp
+import hashlib
+import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -249,3 +253,53 @@ def test_criterion_10_deterministic_outputs(tmp_path, desk_runs, bank5):
         rows.append(cols)
     assert rows[0] == rows[1]
     report(10, "re-run CSVs byte-identical (timing column exempt)")
+
+
+# Per-trial record fields hashed together.  The Newton roundoff figures
+# sit in their own group, so a solver change that keeps every iterate's
+# path can show that only their low digits moved.
+DIGEST_GROUPS = {
+    "truth": ("truth",),
+    "estimates": ("estimates",),
+    "allocs": ("allocs",),
+    "counters": ("matrix_sums", "candidates", "newton_iters", "degenerate"),
+    "newton": ("newton_decrement", "newton_residual"),
+}
+DIGEST_FILE = os.path.join(os.path.dirname(__file__), "desk_digests.json")
+
+
+def record_digest(rec, names):
+    h = hashlib.sha256()
+    for name in names:
+        arr = np.ascontiguousarray(getattr(rec, name))
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def desk_digests(desk_runs):
+    """{"<policy> rho=<rho>": {group: [sha256 per trial]}} of the desk runs."""
+    return {f"{policy} rho={rho:g}": {
+                group: [record_digest(rec, names) for rec in run["records"]]
+                for group, names in DIGEST_GROUPS.items()}
+            for (policy, rho), run in desk_runs.items()}
+
+
+def test_desk_output_digests(desk_runs, request):
+    """Every desk trial's outputs match the committed digests.  Regenerate
+    with `PYTHONPATH=src python -m pytest tests/test_acceptance.py -k
+    digests --update-digests` and say in CHANGES.md which groups moved."""
+    got = desk_digests(desk_runs)
+    if request.config.getoption("--update-digests"):
+        with open(DIGEST_FILE, "w") as fh:
+            json.dump(got, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    with open(DIGEST_FILE) as fh:
+        want = json.load(fh)
+    moved = [f"{config} trial {trial} {group}"
+             for config, groups in want.items() if config in got
+             for group, digests in groups.items()
+             for trial, pair in enumerate(zip(digests, got[config][group]))
+             if pair[0] != pair[1]]
+    assert not moved, f"{len(moved)} digests moved, first: {moved[:5]}"
+    assert got == want  # the same configs, groups and trial counts

@@ -140,6 +140,125 @@ def test_hessian_symmetric_and_matches_fd():
             assert np.allclose(hess[:, j], fd, rtol=1e-4, atol=1e-5)
 
 
+def dense_gradient(q, table, tau):
+    """Oracle: -tr(W^-1 atom[i, m]) - tau/q + tau/(1-q) on the 4x4 W."""
+    qm = cx._as_q_matrix(q, table.n_sensors, table.r_max)
+    w_inv = np.linalg.inv(cx._information_matrix(qm, table))
+    grad = (-np.einsum("ab,imab->im", w_inv, table.atoms)
+            - tau / qm + tau / (1.0 - qm))
+    return grad.T.ravel()
+
+
+def dense_value(q, table, tau):
+    """Oracle: the barrier objective with log det of the 4x4 W."""
+    qm = cx._as_q_matrix(q, table.n_sensors, table.r_max)
+    if np.any(qm <= 0.0) or np.any(qm >= 1.0):
+        return np.inf
+    ld = logdet(cx._information_matrix(qm, table))
+    if not np.isfinite(ld):
+        return np.inf
+    return -(ld + tau * float(np.sum(np.log(qm) + np.log1p(-qm))))
+
+
+def dense_step(q, table, vectors, tau, sysc):
+    grad = dense_gradient(q, table, tau)
+    step, _dual = cx.solve_kkt(cx.barrier_hessian(q, table, tau), sysc, grad)
+    return grad, step
+
+
+def desk_tables(grid9, bank5):
+    """FIM tables the desk tracker sees: the initial cloud propagated one
+    step at both process noise levels, from the start and from a cloud
+    off-centre."""
+    from bittrack import fisher, model, tracker
+    rng = np.random.default_rng(20)
+    cov0 = np.diag([(2 / 3) ** 2, (2 / 3) ** 2, 0.01, 0.01])
+    tables = []
+    for mu in ((-8.0, -8.0, 2.0, 2.0), (1.0, -3.0, -1.0, 2.0)):
+        for rho in (2.5e-3, 0.1):
+            cloud = tracker.init_particles(np.array(mu), cov0, 1000, rng)
+            motion = model.build_motion(0.5, rho)
+            predicted = tracker.predict(cloud, motion, rng)
+            tables.append(fisher.build_fim_table(grid9, predicted, 5, bank5))
+    return tables
+
+
+def oracle_instances(grid9, bank5):
+    """(table, flat interior q) pairs: random tables up to N=36, R=8 and
+    desk tables, each at random interior points and the interior start."""
+    rng = np.random.default_rng(21)
+    tables = [random_fim_table(n, r, rng)
+              for n, r in [(2, 1), (2, 8), (3, 2), (4, 3), (9, 5), (16, 4),
+                           (25, 5), (36, 8)] for _ in range(2)]
+    tables += desk_tables(grid9, bank5)
+    for table in tables:
+        n, r = table.n_sensors, table.r_max
+        yield table, cx.feasible_start(n, r).flat()
+        for lo in (0.2, 0.01):
+            yield table, rng.uniform(lo, 1.0 - lo, size=n * (r + 1))
+
+
+def test_structured_step_matches_dense_kkt(grid9, bank5):
+    for table, q in oracle_instances(grid9, bank5):
+        n, r = table.n_sensors, table.r_max
+        sysc = cx.constraint_system(n, r)
+        tau = cx.default_settings(n, r).tau
+        vectors = table.blocks.transpose(1, 0, 2).reshape(-1, 3)
+        grad, step = cx._newton_step(q, table, vectors, tau, sysc)
+        want_grad, want_step = dense_step(q, table, vectors, tau, sysc)
+        assert np.linalg.norm(grad - want_grad) <= \
+            1e-10 * np.linalg.norm(want_grad)
+        assert np.linalg.norm(cx.barrier_gradient(q, table, tau) - want_grad) \
+            <= 1e-10 * np.linalg.norm(want_grad)
+        assert np.linalg.norm(step - want_step) <= \
+            1e-10 * np.linalg.norm(want_step), (n, r)
+
+
+def test_newton_solve_matches_dense_path(grid9, bank5, monkeypatch):
+    from bittrack import harness
+    rng = np.random.default_rng(22)
+    cases = [(random_fim_table(n, r, rng), None)
+             for n, r in [(2, 3), (4, 2), (9, 5), (16, 6), (25, 4), (36, 8)]]
+    desk = harness._Shared(harness.ExperimentConfig(), bank=bank5)
+    cases += [(t, desk.warm_start(t)) for t in desk_tables(grid9, bank5)]
+    for table, q0 in cases:
+        n, r = table.n_sensors, table.r_max
+        args = (table, cx.constraint_system(n, r), cx.default_settings(n, r),
+                q0 or cx.feasible_start(n, r))
+        q_new, diag_new = cx.newton_solve(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(cx, "_newton_step", dense_step)
+            mp.setattr(cx, "barrier_value", dense_value)
+            q_old, diag_old = cx.newton_solve(*args)
+        assert diag_new.iterations == diag_old.iterations
+        assert diag_new.backtracks == diag_old.backtracks
+        assert np.max(np.abs(q_new.q - q_old.q)) <= 1e-9
+
+
+def test_backtracks_count_rejected_line_search_trials(monkeypatch):
+    # perfbench derives backtracks as barrier_value calls minus
+    # iterations: one call at the start, one per line-search trial.
+    calls = []
+    value = cx.barrier_value
+
+    def counting(*args):
+        calls.append(1)
+        return value(*args)
+
+    monkeypatch.setattr(cx, "barrier_value", counting)
+    rng = np.random.default_rng(23)
+    total = 0
+    for n, r in [(2, 1), (3, 2), (9, 5), (16, 3), (25, 8)]:
+        table = random_fim_table(n, r, rng)
+        calls.clear()
+        _, diag = cx.newton_solve(table, cx.constraint_system(n, r),
+                                  cx.default_settings(n, r),
+                                  cx.feasible_start(n, r))
+        assert len(calls) - diag.iterations == diag.backtracks
+        total += diag.backtracks
+    assert total > 0
+
+
 def test_solve_kkt_zero_gradient_and_residuals():
     rng = np.random.default_rng(3)
     sysc = cx.constraint_system(3, 2)

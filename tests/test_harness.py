@@ -1,4 +1,5 @@
 import filecmp
+import json
 import time
 from dataclasses import replace
 
@@ -351,6 +352,49 @@ def test_cli_simulate_bank_and_cap_errors_exit_2(tmp_path, capsys, monkeypatch,
     assert rc == 2
     assert not (tmp_path / "out").exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("sigma", 2.0), ("p0", 500.0),
+                                        ("area_side", 30.0)])
+def test_cli_simulate_rejects_bank_for_another_model(tmp_path, capsys,
+                                                     monkeypatch, key, value):
+    def no_design(*args, **kwargs):
+        raise AssertionError("bank designed for a bad config")
+
+    monkeypatch.setattr(quantizer, "build_bank", no_design)
+    monkeypatch.setattr(harness, "build_bank", no_design)
+    with open(BANK_FILE) as fh:
+        doc = json.load(fh)
+    if key == "area_side":
+        doc[key] = value
+    else:
+        doc["grid_params"][key] = value
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(doc))
+    cfg_path = tmp_path / "run.cfg"
+    write_tiny_config(cfg_path, bank_file=str(path))
+    rc = cli.main(["simulate", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert not (tmp_path / "out").exists()
+    assert "designed for" in capsys.readouterr().err
+    # The committed bank matches the desk model.
+    harness.check_bank(ExperimentConfig(), quantizer.load_bank(BANK_FILE))
+
+
+def test_cli_simulate_runtime_value_error_exits_3(tmp_path, capsys,
+                                                  monkeypatch):
+    def not_interior(*args, **kwargs):
+        raise ValueError("starting point is not strictly interior/feasible")
+
+    monkeypatch.setattr(convex, "newton_solve", not_interior)
+    cfg_path = tmp_path / "run.cfg"
+    write_tiny_config(cfg_path, policy="convex", bank_file=BANK_FILE)
+    rc = cli.main(["simulate", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure:" in err and "interior" in err
 
 
 def test_cli_simulate_policy_override(tmp_path, capsys):
