@@ -25,6 +25,10 @@ from .model import SensorGrid
 
 DEFAULT_ENUM_CAP = 10**7
 
+# Largest (count, N) int64 split matrix that `exhaustive` may build; it
+# peaks at about three times this while it is made.
+MAX_SPLIT_BYTES = 2**26
+
 
 @dataclass(frozen=True)
 class AllocOutcome:
@@ -41,6 +45,14 @@ def enumerate_count(n_sensors: int, budget: int) -> int:
     if n_sensors < 1 or budget < 0:
         raise ValueError("need n_sensors >= 1 and budget >= 0")
     return math.comb(n_sensors + budget - 1, n_sensors - 1)
+
+
+def check_split_bytes(n_sensors: int, budget: int) -> None:
+    """Raise ValueError if the split matrix exceeds MAX_SPLIT_BYTES."""
+    count = enumerate_count(n_sensors, budget)
+    if count * n_sensors * 8 > MAX_SPLIT_BYTES:
+        raise ValueError(f"the {count} x {n_sensors} split matrix to "
+                         f"enumerate exceeds {MAX_SPLIT_BYTES} bytes")
 
 
 @lru_cache(maxsize=32)
@@ -91,6 +103,7 @@ def exhaustive(table: FimTable, n_sensors: int, budget: int,
     count = enumerate_count(n_sensors, budget)
     if count > cap:
         raise ValueError(f"enumeration of {count} candidates exceeds cap {cap}")
+    check_split_bytes(n_sensors, budget)
     comps = composition_matrix(n_sensors, budget)
     blocks = table.blocks
     total = np.tile(table.schur, (count, 1))

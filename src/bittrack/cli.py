@@ -31,16 +31,19 @@ def _parse_rates(spec: str):
 
 def random_fim_table(n_sensors: int, r_max: int,
                      rng: np.random.Generator) -> FimTable:
-    """Random instance: rank-1 position-block atoms that grow with the
-    rate, plus a random SPD prior."""
-    atoms = np.zeros((n_sensors, r_max + 1, 4, 4))
+    """Random instance: rank-1 position blocks that grow with the rate,
+    plus a random SPD prior."""
+    v = np.empty((n_sensors, 2))
+    scales = np.empty((n_sensors, r_max))
     for i in range(n_sensors):
-        v = rng.normal(size=2)
-        scales = np.cumsum(rng.uniform(0.1, 1.0, size=r_max))
-        atoms[i, 1:, :2, :2] = scales[:, None, None] * np.outer(v, v)
+        v[i] = rng.normal(size=2)
+        scales[i] = np.cumsum(rng.uniform(0.1, 1.0, size=r_max))
+    vv = v[:, [0, 0, 1]] * v[:, [0, 1, 1]]  # (v0 v0, v0 v1, v1 v1)
+    blocks = np.zeros((n_sensors, r_max + 1, 3))
+    blocks[:, 1:] = scales[:, :, None] * vv[:, None, :]
     g = rng.normal(size=(4, 4))
     prior = g @ g.T + 0.5 * np.eye(4)
-    return FimTable(atoms=atoms, prior=prior)
+    return FimTable(blocks=blocks, prior=prior)
 
 
 def cmd_simulate(args) -> int:
@@ -98,11 +101,11 @@ def cmd_bench_alloc(args) -> int:
     if args.n < 1 or args.r < 1:
         print("config error: need --n >= 1 and --r >= 1", file=sys.stderr)
         return 2
-    # Every instance runs exhaustive, so the enumeration must fit its cap.
-    count = allocators.enumerate_count(args.n, args.r)
-    if count > allocators.DEFAULT_ENUM_CAP:
-        print(f"config error: {count} allocations to enumerate exceed the "
-              f"cap {allocators.DEFAULT_ENUM_CAP}", file=sys.stderr)
+    # Every instance runs exhaustive, so its split matrix must fit.
+    try:
+        allocators.check_split_bytes(args.n, args.r)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
     sys_c = convex.constraint_system(args.n, args.r)

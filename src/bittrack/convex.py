@@ -6,10 +6,11 @@ Each sensor i carries a row q[i, :] of probabilities over the rates
 expected total rate to equal the budget R.  The [0, 1] box is folded
 into the objective as a log barrier, and the resulting equality-
 constrained convex problem is solved by a feasible-start Newton method
-with KKT block elimination.  The atoms live in the 2x2 position block,
-so the Hessian is diagonal plus rank 3 and each step costs O(N(R+1))
-plus one (N+1)x(N+1) solve.  Decoding is probabilistic: each sensor
-samples its rate from its row, so the budget holds in expectation only.
+with KKT block elimination.  The table holds 2x2 position blocks
+(`fisher.FimTable`), so the Hessian is diagonal plus rank 3 and each
+step costs O(N(R+1)) plus one (N+1)x(N+1) solve.  Decoding is
+probabilistic: each sensor samples its rate from its row, so the budget
+holds in expectation only.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .fisher import FimTable
 
@@ -162,10 +162,6 @@ def feasible_start(n_sensors: int, r_max: int) -> TransmissionProbabilities:
     return TransmissionProbabilities(np.tile(row, (n_sensors, 1)))
 
 
-def _information_matrix(qm: np.ndarray, table: FimTable) -> np.ndarray:
-    return table.prior + np.tensordot(qm, table.atoms, axes=([0, 1], [0, 1]))
-
-
 def _logdet2(k00: float, k01: float, k11: float) -> float:
     """log det of a symmetric 2x2; -inf unless positive definite."""
     det = k00 * k11 - k01 * k01
@@ -216,43 +212,24 @@ def barrier_value(q, table: FimTable, tau: float) -> float:
 
 def barrier_gradient(q, table: FimTable, tau: float) -> np.ndarray:
     """Flat gradient: -V w - tau/q + tau/(1-q), where the rows of V are
-    the atoms' position blocks (a00, a01, a11) and w = (s00, 2 s01, s11)
-    with S = (J + A(q))^-1, so that V w = tr(W^-1 atom[i, m])."""
+    the position blocks (a00, a01, a11) and w = (s00, 2 s01, s11) with
+    S = (J + A(q))^-1, so that V w = tr(S X) for each block X."""
     flat = _as_q_matrix(q, table.n_sensors, table.r_max).T.ravel()
     return _gradient(flat, table, _flat_blocks(table), tau)[0]
 
 
 def barrier_hessian(q, table: FimTable, tau: float) -> np.ndarray:
-    """Flat Hessian: Gram matrix of W^-1-weighted atoms plus the barrier
-    diagonal tau * (1/q^2 + 1/(1-q)^2).  Dense reference for the
-    structured step that `newton_solve` takes."""
-    n, r1 = table.n_sensors, table.r_max + 1
-    qm = _as_q_matrix(q, n, r1 - 1)
-    w_inv = np.linalg.inv(_information_matrix(qm, table))
-    weighted = np.einsum("ab,imbc->imac", w_inv, table.atoms)
-    flat = weighted.transpose(1, 0, 2, 3).reshape(n * r1, 4, 4)
-    gram = np.einsum("pab,qba->pq", flat, flat)
+    """Flat Hessian: the Gram matrix tr(S X_p S X_q) of the 2x2 position
+    blocks, S = (J + A(q))^-1, plus the barrier diagonal
+    tau * (1/q^2 + 1/(1-q)^2).  Dense reference for the structured step
+    that `newton_solve` takes."""
+    qm = _as_q_matrix(q, table.n_sensors, table.r_max)
+    k00, k01, k11 = _position_sum(qm, table)
+    s = np.linalg.inv([[k00, k01], [k01, k11]])
+    weighted = s @ _flat_blocks(table)[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+    gram = np.einsum("pab,qba->pq", weighted, weighted)
     diag = tau * (1.0 / qm**2 + 1.0 / (1.0 - qm) ** 2)
     return gram + np.diag(diag.T.ravel())
-
-
-def solve_kkt(hessian: np.ndarray, sys: ConstraintSystem, grad: np.ndarray):
-    """Newton step and dual via block elimination of the KKT system.
-
-    Solves H step + A^T dual = -grad with A step = 0 using a Cholesky
-    factor of H and the Schur complement S = -A H^-1 A^T.  Dense
-    reference for the structured step that `newton_solve` takes.
-    """
-    factor = scipy.linalg.cho_factor(hessian)
-    h_inv_at = scipy.linalg.cho_solve(factor, sys.A.T)
-    h_inv_g = scipy.linalg.cho_solve(factor, grad)
-    schur = -sys.A @ h_inv_at
-    try:
-        dual = scipy.linalg.solve(schur, sys.A @ h_inv_g)
-    except scipy.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("singular Schur complement") from exc
-    step = -(h_inv_g + h_inv_at @ dual)
-    return step, dual
 
 
 def _newton_step(q: np.ndarray, table: FimTable, vectors: np.ndarray,
@@ -266,7 +243,7 @@ def _newton_step(q: np.ndarray, table: FimTable, vectors: np.ndarray,
     H^-1 = D^-1/2 (I - U (I + U^T U)^-1 U^T) D^-1/2; this scaled form
     keeps the step as accurate as a Cholesky solve of H when D is small
     against V M V^T.  The (N+1)x(N+1) Schur complement A H^-1 A^T of the
-    constraints then gives the dual, as in `solve_kkt`.
+    constraints then gives the dual (KKT block elimination).
     """
     grad, (s00, s01, s11) = _gradient(q, table, vectors, tau)
     m = np.array([[s00 * s00, 2.0 * s00 * s01, s01 * s01],

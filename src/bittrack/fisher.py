@@ -3,9 +3,10 @@
 A sensor reporting at rate m contributes a rank-1 position-block FIM
 whose magnitude is set by the information kernel `kappa`; expected
 contributions are particle averages over the predicted cloud, which
-read the kernel from its cached spline table.  The prior FIM comes
-from a Gaussian approximation of the cloud.  Totals are ranked by
-determinant (D-optimality), on the 2x2 position block (`FimTable`).
+read the kernel from its cached spline table, and the table keeps only
+their 2x2 position blocks (`FimTable`).  The prior FIM comes from a
+Gaussian approximation of the cloud.  Totals are ranked by determinant
+(D-optimality), on the position block.
 """
 
 from __future__ import annotations
@@ -25,34 +26,35 @@ COV_RIDGE = 1e-9
 
 @dataclass(frozen=True)
 class FimTable:
-    """Expected per-sensor, per-rate information atoms plus the prior FIM.
+    """Expected per-sensor, per-rate position blocks plus the prior FIM.
 
-    atoms[i, m] is the 4x4 expected contribution of sensor i reporting
-    at rate m (atoms[:, 0] are all zero); prior is the 4x4 prior FIM.
-    Atoms are zero outside the position block, so det(prior + A) =
-    det(P_vv) det(J + A) with J = `schur`, A a sum of `blocks`.
+    blocks[i, m] = (a00, a01, a11) is the 2x2 position block of sensor
+    i's expected rate-m information, which is zero outside that block;
+    blocks[:, 0] are all zero.  prior is the 4x4 prior FIM.  So
+    det(prior + A) = det(P_vv) det(J + A), with J = `schur` and A a sum
+    of blocks.
     """
 
-    atoms: np.ndarray = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
     prior: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
+        blocks = np.asarray(self.blocks, dtype=float)
         prior = np.asarray(self.prior, dtype=float)
-        if atoms.ndim != 4 or atoms.shape[2:] != (STATE_DIM, STATE_DIM):
-            raise ValueError("atoms must be (N, R+1, 4, 4)")
+        if blocks.ndim != 3 or blocks.shape[2] != 3:
+            raise ValueError("blocks must be (N, R+1, 3)")
         if prior.shape != (STATE_DIM, STATE_DIM):
             raise ValueError("prior must be 4x4")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "prior", prior)
 
     @property
     def n_sensors(self) -> int:
-        return self.atoms.shape[0]
+        return self.blocks.shape[0]
 
     @property
     def r_max(self) -> int:
-        return self.atoms.shape[1] - 1
+        return self.blocks.shape[1] - 1
 
     @cached_property
     def schur(self) -> np.ndarray:
@@ -61,17 +63,6 @@ class FimTable:
         half = np.linalg.solve(np.linalg.cholesky(p[2:, 2:]), p[2:, :2])
         j = p[:2, :2] - half.T @ half
         return np.array([j[0, 0], 0.5 * (j[0, 1] + j[1, 0]), j[1, 1]])
-
-    @cached_property
-    def blocks(self) -> np.ndarray:
-        """The atoms' position blocks as (N, R+1, 3) (a00, a01, a11); raises
-        ValueError unless each is exactly symmetric with zeros elsewhere."""
-        a = self.atoms
-        if np.any(a[..., 2:, :]) or np.any(a[..., :2, 2:]):
-            raise ValueError("atoms must be zero outside the position block")
-        if np.any(a[..., 0, 1] != a[..., 1, 0]):
-            raise ValueError("atom position blocks must be symmetric")
-        return np.stack([a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]], axis=-1)
 
 
 def _geometry(grid: SensorGrid, sensors: np.ndarray, pos: np.ndarray):
@@ -107,21 +98,17 @@ def _conditional_coef(grid: SensorGrid, i: int, pos: np.ndarray, m: int,
     return kappa(m, a, grid.sigma, bank[m]) * base, dx, dy
 
 
-def _rank1_fim(coef, dx, dy) -> np.ndarray:
-    """Assemble the zero-velocity-block FIM from scalar weight and offsets."""
+def sensor_fim_conditional(grid: SensorGrid, i: int, state, m: int,
+                           bank: QuantizerBank) -> np.ndarray:
+    """FIM of sensor i's rate-m report conditioned on the target state:
+    rank 1 and zero outside the position block."""
+    state = np.asarray(state, dtype=float)
+    coef, dx, dy = _conditional_coef(grid, i, state[:2], m, bank)
     out = np.zeros(np.shape(coef) + (STATE_DIM, STATE_DIM))
     out[..., 0, 0] = coef * dx * dx
     out[..., 0, 1] = out[..., 1, 0] = coef * dx * dy
     out[..., 1, 1] = coef * dy * dy
     return out
-
-
-def sensor_fim_conditional(grid: SensorGrid, i: int, state, m: int,
-                           bank: QuantizerBank) -> np.ndarray:
-    """FIM of sensor i's rate-m report conditioned on the target state."""
-    state = np.asarray(state, dtype=float)
-    coef, dx, dy = _conditional_coef(grid, i, state[:2], m, bank)
-    return _rank1_fim(coef, dx, dy)
 
 
 def prior_fim(particles) -> np.ndarray:
@@ -150,7 +137,8 @@ def prior_fim(particles) -> np.ndarray:
 
 def build_fim_table(grid: SensorGrid, particles, r_max: int,
                     bank: QuantizerBank) -> FimTable:
-    """Expected atoms for every (sensor, rate) pair plus the prior FIM.
+    """Expected position blocks for every (sensor, rate) pair plus the
+    prior FIM.
 
     The (sensor, particle) geometry and the kernel-table lookup are
     shared across rates; each rate evaluates its tabulated kernel (see
@@ -161,26 +149,26 @@ def build_fim_table(grid: SensorGrid, particles, r_max: int,
                                 states[None, :, :2])
     moments = np.stack([base * dx * dx, base * dx * dy, base * dy * dy])
     a_max = np.sqrt(grid.p0)
-    atoms = np.zeros((grid.n_sensors, r_max + 1, STATE_DIM, STATE_DIM))
+    blocks = np.zeros((grid.n_sensors, r_max + 1, 3))
     for m in range(1, r_max + 1):
         tab = kernel_table(bank[m], grid.sigma, a_max)
         if m == 1:  # every rate's table shares one amplitude grid
             seg, frac = tab.locate(a)
-        e = np.mean(moments * tab.evaluate(seg, frac), axis=-1)
-        atoms[:, m, 0, 0] = e[0]
-        atoms[:, m, 0, 1] = atoms[:, m, 1, 0] = e[1]
-        atoms[:, m, 1, 1] = e[2]
-    return FimTable(atoms=atoms, prior=prior_fim(particles))
+        blocks[:, m] = np.mean(moments * tab.evaluate(seg, frac), axis=-1).T
+    return FimTable(blocks=blocks, prior=prior_fim(particles))
 
 
 def total_fim(alloc, table: FimTable) -> np.ndarray:
-    """Prior plus the allocated sensors' atoms."""
+    """Prior plus the allocated sensors' blocks, as a 4x4 matrix."""
     alloc = np.asarray(alloc, dtype=int)
     if alloc.shape != (table.n_sensors,):
         raise ValueError("allocation length must match the sensor count")
     if np.any(alloc < 0) or np.any(alloc > table.r_max):
         raise ValueError("rate out of table range")
-    return table.prior + table.atoms[np.arange(table.n_sensors), alloc].sum(axis=0)
+    a00, a01, a11 = table.blocks[np.arange(table.n_sensors), alloc].sum(axis=0)
+    w = table.prior.copy()
+    w[:2, :2] += [[a00, a01], [a01, a11]]
+    return w
 
 
 def logdet(f: np.ndarray) -> float:

@@ -90,10 +90,12 @@ class ExperimentConfig:
         if self.policy != "nearest" and segments > quantizer.MAX_KERNEL_SEGMENTS:
             raise ValueError(f"a kernel table of {segments:.3g} segments "
                              f"exceeds {quantizer.MAX_KERNEL_SEGMENTS}")
-        count = allocators.enumerate_count(self.n_sensors, self.budget)
-        if self.policy == "exhaustive" and count > self.exhaustive_cap:
-            raise ValueError(f"exhaustive_cap {self.exhaustive_cap} is below "
-                             f"the {count} allocations to enumerate")
+        if self.policy == "exhaustive":
+            count = allocators.enumerate_count(self.n_sensors, self.budget)
+            if count > self.exhaustive_cap:
+                raise ValueError(f"exhaustive_cap {self.exhaustive_cap} is "
+                                 f"below the {count} allocations to enumerate")
+            allocators.check_split_bytes(self.n_sensors, self.budget)
         for name in ("mu0", "sigma0_diag"):
             vec = tuple(float(x) for x in getattr(self, name))
             object.__setattr__(self, name, vec)
@@ -337,34 +339,25 @@ def run_experiment(cfg: ExperimentConfig, bank: QuantizerBank | None = None):
 _REQUIRED_KEYS = ("grid_side_count", "area_side", "p0", "sigma", "dt", "rho",
                   "steps", "particles", "budget", "trials", "policy", "seed")
 
-_INT_KEYS = {"grid_side_count", "steps", "particles", "budget", "trials",
-             "seed", "max_iters", "exhaustive_cap", "bank_samples", "bank_seed"}
-_FLOAT_KEYS = {"area_side", "p0", "alpha", "n_exp", "sigma", "dt", "rho",
-               "tau_scale", "epsilon"}
-_VEC_KEYS = {"mu0", "sigma0_diag"}
-_STR_KEYS = {"policy", "convex_decode", "bank_file"}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, raw: str, kind: type):
+    """raw as the type of the key's default: int, float, str or a
+    comma-separated float vector."""
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _VEC_KEYS:
+        if kind is tuple:
             return tuple(float(x) for x in raw.split(","))
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for key '{key}': {raw!r}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse a flat key=value config file; unknown keys are errors."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -374,11 +367,11 @@ def load_config(path) -> ExperimentConfig:
             if "=" not in text:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, raw = (s.strip() for s in text.split("=", 1))
-            if key not in known:
+            if key not in kinds:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-            values[key] = _parse_value(key, raw)
+            values[key] = _parse_value(key, raw, kinds[key])
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing required key '{key}'")

@@ -308,8 +308,9 @@ class _CoordinateObjective:
 
 
 def _golden_max(fun, lo: float, hi: float, tol: float = 1e-5,
-                coarse: int = 17) -> float:
+                coarse: int = 17) -> tuple:
     """Maximize fun on [lo, hi]: coarse scan, then golden-section refine.
+    Returns (argmax, max).
 
     The coarse scan guards against multimodal objectives that a pure
     golden section would mishandle.
@@ -332,7 +333,7 @@ def _golden_max(fun, lo: float, hi: float, tol: float = 1e-5,
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fun(d)
-    return c if fc > fd else d
+    return (c, fc) if fc > fd else (d, fd)
 
 
 def optimize_thresholds(m: int, area_side: float, grid_params,
@@ -376,8 +377,7 @@ def optimize_thresholds(m: int, area_side: float, grid_params,
             hi = z_hi if j == n_int - 1 else interior[j + 1] - _MIN_GAP
             if hi <= lo:
                 continue
-            x_star = _golden_max(lambda x: state.evaluate(j, x), lo, hi)
-            val = state.evaluate(j, x_star)
+            x_star, val = _golden_max(lambda x: state.evaluate(j, x), lo, hi)
             if val > best:
                 state.commit(j, x_star)
                 interior[j] = x_star

@@ -45,3 +45,14 @@ def fd_amplitude_fisher(m, a, sigma, thr, h=1e-5):
           - quantizer.level_probabilities(a - h, sigma, thr)) / (2 * h)
     mask = p > 1e-12
     return float(np.sum(dp[mask] ** 2 / p[mask]))
+
+
+def atoms_4x4(table):
+    """The table's position blocks embedded as (N, R+1, 4, 4) atoms, zero
+    outside the position block, for the 4x4 reference computations."""
+    blocks = table.blocks
+    atoms = np.zeros(blocks.shape[:2] + (4, 4))
+    atoms[..., 0, 0] = blocks[..., 0]
+    atoms[..., 0, 1] = atoms[..., 1, 0] = blocks[..., 1]
+    atoms[..., 1, 1] = blocks[..., 2]
+    return atoms

@@ -7,17 +7,20 @@ from bittrack import allocators as al, model, tracker
 from bittrack.cli import random_fim_table
 from bittrack.fisher import FimTable, build_fim_table, logdet, total_fim
 
+from conftest import atoms_4x4
+
 
 def brute_force_4x4(table, n, r):
     """Oracle: every split in lexicographic order, ranked by the 4x4
     slogdet; the first maximum wins."""
+    atoms = atoms_4x4(table)
     best, best_value = None, -np.inf
     for alloc in itertools.product(range(r + 1), repeat=n):
         if sum(alloc) != r:
             continue
         w = table.prior.copy()
         for i, m in enumerate(alloc):
-            w = w + table.atoms[i, m]
+            w = w + atoms[i, m]
         sign, value = np.linalg.slogdet(w)
         if sign > 0 and value > best_value:
             best, best_value = alloc, value
@@ -56,8 +59,9 @@ def test_exhaustive_two_sensor_comparison():
     rng = np.random.default_rng(1)
     table = random_fim_table(2, 1, rng)
     out = al.exhaustive(table, 2, 1)
-    d0 = np.linalg.det(table.prior + table.atoms[0, 1])
-    d1 = np.linalg.det(table.prior + table.atoms[1, 1])
+    atoms = atoms_4x4(table)
+    d0 = np.linalg.det(table.prior + atoms[0, 1])
+    d1 = np.linalg.det(table.prior + atoms[1, 1])
     want = [1, 0] if d0 >= d1 else [0, 1]
     assert out.alloc.tolist() == want
     assert out.candidates_examined == 2
@@ -73,18 +77,18 @@ def test_exhaustive_counts_and_cap():
 
 
 def test_exhaustive_tie_breaks_lexicographically():
-    # Two sensors with bitwise-identical atoms: (1, 0) and (0, 1) tie.
+    # Two sensors with bitwise-identical blocks: (1, 0) and (0, 1) tie.
     rng = np.random.default_rng(3)
     table = random_fim_table(2, 1, rng)
-    atoms = table.atoms.copy()
-    atoms[1] = atoms[0]
-    tied = FimTable(atoms=atoms, prior=table.prior)
+    blocks = table.blocks.copy()
+    blocks[1] = blocks[0]
+    tied = FimTable(blocks=blocks, prior=table.prior)
     assert al.exhaustive(tied, 2, 1).alloc.tolist() == [0, 1]  # lex smaller
     assert brute_force_4x4(tied, 2, 1) == [0, 1]
     # Three identical sensors at R=2: six splits, three pairwise ties.
-    atoms = random_fim_table(3, 2, rng).atoms
-    atoms[1] = atoms[2] = atoms[0]
-    tied3 = FimTable(atoms=atoms, prior=table.prior)
+    blocks = random_fim_table(3, 2, rng).blocks
+    blocks[1] = blocks[2] = blocks[0]
+    tied3 = FimTable(blocks=blocks, prior=table.prior)
     assert al.exhaustive(tied3, 3, 2).alloc.tolist() == \
         brute_force_4x4(tied3, 3, 2)
 
@@ -126,26 +130,12 @@ def test_position_block_identity(grid9, bank3):
                 logdet(total_fim(alloc, table)), abs=1e-12)
 
 
-def test_blocks_reject_off_block_and_asymmetric_atoms():
-    table = random_fim_table(2, 2, np.random.default_rng(16))
-    assert table.blocks.shape == (2, 3, 3)
-    for where in [(0, 1, 2, 2), (1, 2, 0, 3), (1, 1, 3, 1)]:
-        atoms = table.atoms.copy()
-        atoms[where] = 1e-300
-        with pytest.raises(ValueError, match="outside"):
-            FimTable(atoms=atoms, prior=table.prior).blocks
-    atoms = table.atoms.copy()
-    atoms[1, 2, 0, 1] = np.nextafter(atoms[1, 2, 1, 0], np.inf)
-    with pytest.raises(ValueError, match="symmetric"):
-        FimTable(atoms=atoms, prior=table.prior).blocks
-
-
 def test_schur_needs_positive_definite_velocity_block():
     table = random_fim_table(2, 2, np.random.default_rng(17))
     prior = table.prior.copy()
     prior[2:, :] = prior[:, 2:] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        FimTable(atoms=table.atoms, prior=prior).schur
+        FimTable(blocks=table.blocks, prior=prior).schur
 
 
 def _value_4x4(w):
@@ -155,9 +145,10 @@ def _value_4x4(w):
 
 def greedy_4x4(table, n, r):
     """Reference loop: add the bit whose 4x4 total ranks first."""
+    atoms = atoms_4x4(table)
     rates, current, msums = [0] * n, table.prior, 0
     for _ in range(r):
-        cands = [current + table.atoms[k, rates[k] + 1] - table.atoms[k, rates[k]]
+        cands = [current + atoms[k, rates[k] + 1] - atoms[k, rates[k]]
                  for k in range(n)]
         msums += n + sum(m > 0 for m in rates)
         k = int(np.argmax([_value_4x4(w) for w in cands]))
@@ -169,12 +160,13 @@ def greedy_4x4(table, n, r):
 def gbfos_4x4(table, n, r):
     """Reference loop: from full rate, drop the bit whose removal leaves
     the 4x4 total ranked first."""
+    atoms = atoms_4x4(table)
     rates = [r] * n
-    current = table.prior + table.atoms[:, r].sum(axis=0)
+    current = table.prior + atoms[:, r].sum(axis=0)
     msums, candidates = n, 0
     for _ in range((n - 1) * r):
         active = [k for k in range(n) if rates[k] > 0]
-        cands = [current - table.atoms[k, rates[k]] + table.atoms[k, rates[k] - 1]
+        cands = [current - atoms[k, rates[k]] + atoms[k, rates[k] - 1]
                  for k in active]
         msums += len(active) + sum(rates[k] > 1 for k in active)
         candidates += len(active)
@@ -187,13 +179,14 @@ def gbfos_4x4(table, n, r):
 def adp_4x4(table, n, r):
     """Reference loop: the stage-per-sensor trellis keeping each state's
     best 4x4 total and path."""
-    states = [(table.prior + table.atoms[0, s], [s]) for s in range(r + 1)]
+    atoms = atoms_4x4(table)
+    states = [(table.prior + atoms[0, s], [s]) for s in range(r + 1)]
     msums = r
     for i in range(1, n):
         targets = range(r + 1) if i < n - 1 else [r]
         nxt = {}
         for s in targets:
-            cands = [(states[s - k][0] + table.atoms[i, k], states[s - k][1] + [k])
+            cands = [(states[s - k][0] + atoms[i, k], states[s - k][1] + [k])
                      for k in range(s + 1)]
             msums += s
             nxt[s] = cands[int(np.argmax([_value_4x4(w) for w, _ in cands]))]
@@ -208,10 +201,9 @@ def test_table_policies_match_4x4_loops(grid9, bank3):
     cases += [(table, 3) for table in _tracker_tables(grid9, bank3)]
     # Identical sensors with integer entries: every sum is exact, so the
     # ties are exact and must go to the first maximum.
-    atoms = np.zeros((3, 4, 4, 4))
-    atoms[:, 1:, :2, :2] = np.arange(1, 4)[:, None, None] * [[1.0, 2.0],
-                                                             [2.0, 5.0]]
-    cases += [(FimTable(atoms=atoms, prior=np.eye(4)), r) for r in (2, 3)]
+    blocks = np.zeros((3, 4, 3))
+    blocks[:, 1:] = np.arange(1, 4)[:, None] * [1.0, 2.0, 5.0]
+    cases += [(FimTable(blocks=blocks, prior=np.eye(4)), r) for r in (2, 3)]
     for table, r in cases:
         n = table.n_sensors
         for policy, ref in ((al.greedy, greedy_4x4), (al.gbfos, gbfos_4x4),

@@ -4,14 +4,36 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bittrack import convex as cx
 from bittrack.cli import random_fim_table
 from bittrack.fisher import FimTable, logdet
 
+from conftest import atoms_4x4
+
 
 def zero_table(n, r):
-    return FimTable(atoms=np.zeros((n, r + 1, 4, 4)), prior=np.eye(4))
+    return FimTable(blocks=np.zeros((n, r + 1, 3)), prior=np.eye(4))
+
+
+def information_4x4(qm, table):
+    """W(q) = prior + sum q[i, m] atom[i, m] as a 4x4 matrix."""
+    return table.prior + np.tensordot(qm, atoms_4x4(table),
+                                      axes=([0, 1], [0, 1]))
+
+
+def solve_kkt(hessian, sys, grad):
+    """Oracle: Newton step and dual via block elimination of the dense
+    KKT system H step + A^T dual = -grad, A step = 0, with a Cholesky
+    factor of H and the Schur complement S = -A H^-1 A^T."""
+    factor = scipy.linalg.cho_factor(hessian)
+    h_inv_at = scipy.linalg.cho_solve(factor, sys.A.T)
+    h_inv_g = scipy.linalg.cho_solve(factor, grad)
+    schur = -sys.A @ h_inv_at
+    dual = scipy.linalg.solve(schur, sys.A @ h_inv_g)
+    step = -(h_inv_g + h_inv_at @ dual)
+    return step, dual
 
 
 def test_constraint_system_small():
@@ -143,8 +165,8 @@ def test_hessian_symmetric_and_matches_fd():
 def dense_gradient(q, table, tau):
     """Oracle: -tr(W^-1 atom[i, m]) - tau/q + tau/(1-q) on the 4x4 W."""
     qm = cx._as_q_matrix(q, table.n_sensors, table.r_max)
-    w_inv = np.linalg.inv(cx._information_matrix(qm, table))
-    grad = (-np.einsum("ab,imab->im", w_inv, table.atoms)
+    w_inv = np.linalg.inv(information_4x4(qm, table))
+    grad = (-np.einsum("ab,imab->im", w_inv, atoms_4x4(table))
             - tau / qm + tau / (1.0 - qm))
     return grad.T.ravel()
 
@@ -154,7 +176,7 @@ def dense_value(q, table, tau):
     qm = cx._as_q_matrix(q, table.n_sensors, table.r_max)
     if np.any(qm <= 0.0) or np.any(qm >= 1.0):
         return np.inf
-    ld = logdet(cx._information_matrix(qm, table))
+    ld = logdet(information_4x4(qm, table))
     if not np.isfinite(ld):
         return np.inf
     return -(ld + tau * float(np.sum(np.log(qm) + np.log1p(-qm))))
@@ -162,7 +184,7 @@ def dense_value(q, table, tau):
 
 def dense_step(q, table, vectors, tau, sysc):
     grad = dense_gradient(q, table, tau)
-    step, _dual = cx.solve_kkt(cx.barrier_hessian(q, table, tau), sysc, grad)
+    step, _dual = solve_kkt(cx.barrier_hessian(q, table, tau), sysc, grad)
     return grad, step
 
 
@@ -264,12 +286,12 @@ def test_solve_kkt_zero_gradient_and_residuals():
     sysc = cx.constraint_system(3, 2)
     g = rng.normal(size=(9, 9))
     hess = g @ g.T + 9 * np.eye(9)
-    step, dual = cx.solve_kkt(hess, sysc, np.zeros(9))
+    step, dual = solve_kkt(hess, sysc, np.zeros(9))
     assert np.allclose(step, 0.0, atol=1e-12)
     assert np.allclose(dual, 0.0, atol=1e-12)
     for _ in range(10):
         grad = rng.normal(size=9)
-        step, dual = cx.solve_kkt(hess, sysc, grad)
+        step, dual = solve_kkt(hess, sysc, grad)
         tol = 1e-8 * (1 + np.linalg.norm(grad))
         assert np.linalg.norm(hess @ step + sysc.A.T @ dual + grad) <= tol
         assert np.linalg.norm(sysc.A @ step) <= tol
@@ -320,9 +342,8 @@ def test_newton_relaxation_upper_bounds_integer_optimum():
         settings = cx.BarrierSettings(tau=1e-7, epsilon=1e-9, max_iters=400)
         q_star, _ = cx.newton_solve(table, sysc, settings,
                                     cx.feasible_start(3, 2))
-        w = table.prior + np.tensordot(q_star.q, table.atoms,
-                                       axes=([0, 1], [0, 1]))
-        assert logdet(w) >= al.exhaustive(table, 3, 2).logdet_value - 1e-4
+        assert logdet(information_4x4(q_star.q, table)) >= \
+            al.exhaustive(table, 3, 2).logdet_value - 1e-4
 
 
 def test_concentrated_scenario_transmission_pattern(grid9, bank5):

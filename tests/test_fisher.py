@@ -4,7 +4,7 @@ import pytest
 from bittrack import fisher, model, quantizer as qz, tracker
 from bittrack.tracker import ParticleSet
 
-from conftest import fd_amplitude_fisher
+from conftest import atoms_4x4, fd_amplitude_fisher
 
 
 def sensor_fim_expected(grid, i, particles, m, bank):
@@ -159,11 +159,12 @@ def _cloud(kind, grid):
 def test_table_matches_exact_kernel_oracle(grid9, bank5, kind):
     particles = _cloud(kind, grid9)
     table = fisher.build_fim_table(grid9, particles, 5, bank5)
-    assert np.all(table.atoms[:, 0] == 0.0)
+    atoms = atoms_4x4(table)
+    assert np.all(atoms[:, 0] == 0.0)
     for m in range(1, 6):
         want = np.array([sensor_fim_expected(grid9, i, particles, m, bank5)
                          for i in range(grid9.n_sensors)])
-        assert np.allclose(table.atoms[:, m], want, rtol=0.0,
+        assert np.allclose(atoms[:, m], want, rtol=0.0,
                            atol=1e-8 * np.abs(want).max()), m
 
 
@@ -202,7 +203,8 @@ def test_total_fim(grid9, bank3):
     # additivity at N=2 slice: difference of single-bit allocations
     a10 = fisher.total_fim([1, 0, 0, 0, 0, 0, 0, 0, 0], table)
     a01 = fisher.total_fim([0, 1, 0, 0, 0, 0, 0, 0, 0], table)
-    assert np.allclose(a10 - a01, table.atoms[0, 1] - table.atoms[1, 1],
+    atoms = atoms_4x4(table)
+    assert np.allclose(a10 - a01, atoms[0, 1] - atoms[1, 1],
                        atol=1e-15)
     with pytest.raises(ValueError):
         fisher.total_fim([4, 0, 0, 0, 0, 0, 0, 0, 0], table)
@@ -214,9 +216,9 @@ def test_total_fim_permutation_invariant_with_identical_atoms(bank3, grid9):
     rng = np.random.default_rng(6)
     states = rng.normal([0, 0, 0, 0], [3, 3, 0.3, 0.3], size=(60, 4))
     table = fisher.build_fim_table(grid9, uniform_set(states), 3, bank3)
-    atoms = table.atoms.copy()
-    atoms[1] = atoms[0]  # force two sensors to share identical atoms
-    table2 = fisher.FimTable(atoms=atoms, prior=table.prior)
+    blocks = table.blocks.copy()
+    blocks[1] = blocks[0]  # force two sensors to share identical blocks
+    table2 = fisher.FimTable(blocks=blocks, prior=table.prior)
     w1 = fisher.total_fim([1, 0, 2, 0, 0, 0, 0, 0, 0], table2)
     w2 = fisher.total_fim([0, 1, 2, 0, 0, 0, 0, 0, 0], table2)
     assert np.array_equal(w1, w2)

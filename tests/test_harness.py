@@ -303,6 +303,8 @@ def test_config_rejects_kernel_grid_past_limit():
     {"grid_side_count": "60", "budget": "5", "policy": "convex"},
     {"p0": "1e12"},
     {"sigma": "1e-6"},
+    {"rho": "fast"},
+    {"mu0": "1,x,2,2"},
 ])
 def test_cli_simulate_rejects_bad_config_before_design(tmp_path, capsys,
                                                       monkeypatch, bad):
@@ -331,8 +333,11 @@ def test_cli_simulate_rejects_bad_config_before_design(tmp_path, capsys,
     ({}, [], '{"rates": []}'),       # readable JSON without the bank keys
     ({}, [], "[]"),                  # JSON, but not an object
     ({}, [], "not json"),
+    # 7x7 grid at budget 5: a 2,869,685 x 49 split matrix (1.1 GB).
+    ({"grid_side_count": 7, "budget": 5}, ["--policy", "exhaustive"], None),
 ], ids=["exhaustive-cap", "budget-above-bank", "missing-bank",
-        "bank-lacks-keys", "bank-not-object", "bank-not-json"])
+        "bank-lacks-keys", "bank-not-object", "bank-not-json",
+        "exhaustive-split-bytes"])
 def test_cli_simulate_bank_and_cap_errors_exit_2(tmp_path, capsys, monkeypatch,
                                                  overrides, argv, bank_text):
     def no_design(*args, **kwargs):
@@ -441,9 +446,11 @@ def test_cli_bench_alloc(capsys):
             assert gap >= -1e-9
 
 
-@pytest.mark.parametrize("n, r", [("0", "5"), ("3", "0"), ("36", "8")])
+@pytest.mark.parametrize("n, r", [("0", "5"), ("3", "0"), ("36", "8"),
+                                  ("36", "6")])
 def test_cli_bench_alloc_bad_sizes_exit_2(capsys, n, r):
-    # (36, 8) has 145,008,513 allocations, above the enumeration cap.
+    # (36, 8) has 145,008,513 allocations and (36, 6) 4,496,388: split
+    # matrices of 42 GB and 1.3 GB, above allocators.MAX_SPLIT_BYTES.
     rc = cli.main(["bench-alloc", "--n", n, "--r", r, "--instances", "1"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
@@ -460,3 +467,30 @@ def test_cli_simulate_uses_bank_file(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 0
     capsys.readouterr()
+
+
+# Edge cases every policy must survive, applied to the desk config.
+EDGE_CASES = {
+    "one-sensor": {"grid_side_count": 1},
+    "rho-0": {"rho": 0.0},
+    "point-prior": {"sigma0_diag": (0.0, 0.0, 0.0, 0.0)},
+    "rho-0-point-prior": {"rho": 0.0, "sigma0_diag": (0.0, 0.0, 0.0, 0.0)},
+    "5-particles": {"particles": 5},
+    "budget-1": {"budget": 1},
+    # ~700 m from the nearest sensor of the 20 m grid.
+    "far-start": {"mu0": (-500.0, -500.0, 2.0, 2.0)},
+}
+
+
+@pytest.mark.parametrize("case, policy", [
+    (case, policy) for case in EDGE_CASES for policy in harness.POLICIES
+    # convex needs two sensors and rejects one at load.
+    if case != "one-sensor" or policy != "convex"])
+def test_edge_cases_run_finite(case, policy):
+    cfg = ExperimentConfig(steps=3, trials=2, policy=policy,
+                           bank_file=BANK_FILE, **EDGE_CASES[case])
+    records, series, summary = harness.run_experiment(cfg)
+    assert summary["degenerate_trials"] == 0
+    for rec in records:
+        assert np.all(np.isfinite(rec.estimates))
+    assert np.all(np.isfinite(series.mse))
