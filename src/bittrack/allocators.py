@@ -13,10 +13,8 @@ sensor index / smallest bit count, and `matrix_sums` counts the paper's
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,10 +22,6 @@ from .fisher import FimTable, logdet, total_fim
 from .model import SensorGrid
 
 DEFAULT_ENUM_CAP = 10**7
-
-# Largest (count, N) int64 split matrix that `exhaustive` may build; it
-# peaks at about three times this while it is made.
-MAX_SPLIT_BYTES = 2**26
 
 
 @dataclass(frozen=True)
@@ -45,30 +39,6 @@ def enumerate_count(n_sensors: int, budget: int) -> int:
     if n_sensors < 1 or budget < 0:
         raise ValueError("need n_sensors >= 1 and budget >= 0")
     return math.comb(n_sensors + budget - 1, n_sensors - 1)
-
-
-def check_split_bytes(n_sensors: int, budget: int) -> None:
-    """Raise ValueError if the split matrix exceeds MAX_SPLIT_BYTES."""
-    count = enumerate_count(n_sensors, budget)
-    if count * n_sensors * 8 > MAX_SPLIT_BYTES:
-        raise ValueError(f"the {count} x {n_sensors} split matrix to "
-                         f"enumerate exceeds {MAX_SPLIT_BYTES} bytes")
-
-
-@lru_cache(maxsize=32)
-def composition_matrix(n_sensors: int, budget: int) -> np.ndarray:
-    """All bit splits as an (count, n_sensors) int array, colex order.
-
-    Stars and bars: each split is the gaps between N-1 bar positions
-    among R+N-1 slots, read right to left."""
-    count = enumerate_count(n_sensors, budget)
-    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
-        range(budget + n_sensors - 1), n_sensors - 1)), dtype=np.int64,
-        count=count * (n_sensors - 1)).reshape(count, n_sensors - 1)
-    gaps = np.diff(bars, axis=1, prepend=-1, append=budget + n_sensors - 1)
-    out = gaps[:, ::-1] - 1
-    out.setflags(write=False)
-    return out
 
 
 def _check_budget(table: FimTable, n_sensors: int, budget: int) -> None:
@@ -93,27 +63,46 @@ def _det2(m: np.ndarray) -> np.ndarray:
     return np.where((m[..., 0] > 0) & (det > 0), det, -np.inf)
 
 
+def _unrank(index: int, n_sensors: int, budget: int) -> np.ndarray:
+    """The split at position `index` of all splits in lexicographic order."""
+    rates, left = [], budget
+    for i in range(n_sensors - 1):
+        k = 0
+        # `below` splits of the later sensors follow sensor i taking k bits.
+        while index >= (below := enumerate_count(n_sensors - i - 1, left - k)):
+            index -= below
+            k += 1
+        rates.append(k)
+        left -= k
+    return np.array(rates + [left])
+
+
 def exhaustive(table: FimTable, n_sensors: int, budget: int,
                cap: int = DEFAULT_ENUM_CAP) -> AllocOutcome:
     """Enumerate every split and keep the best determinant.
 
-    Ties go to the lexicographically smallest allocation.
-    """
+    An unpruned sensor-per-stage trellis keeps each partial split's
+    position block and bits spent, in lexicographic order, so ties go to
+    the lexicographically smallest allocation.  `cap` may only lower
+    DEFAULT_ENUM_CAP."""
     _check_budget(table, n_sensors, budget)
     count = enumerate_count(n_sensors, budget)
+    cap = min(cap, DEFAULT_ENUM_CAP)
     if count > cap:
         raise ValueError(f"enumeration of {count} candidates exceeds cap {cap}")
-    check_split_bytes(n_sensors, budget)
-    comps = composition_matrix(n_sensors, budget)
-    blocks = table.blocks
-    total = np.tile(table.schur, (count, 1))
-    for i in range(n_sensors):
-        total += blocks[i, comps[:, i]]
-    value = _det2(total)
-    tied = np.flatnonzero(value == value.max())
-    alloc = min((tuple(comps[j]) for j in tied))
-    return _outcome(table, np.asarray(alloc), matrix_sums=n_sensors * count,
-                    candidates=count)
+    total = table.schur[None, :].copy()  # summed in place below
+    spent = np.zeros(1, dtype=np.int64)
+    for i in range(n_sensors - 1):
+        fanout = budget + 1 - spent
+        ends = np.cumsum(fanout)
+        bits = np.arange(ends[-1]) - np.repeat(ends - fanout, fanout)
+        total = np.repeat(total, fanout, axis=0)
+        total += table.blocks[i].take(bits, axis=0)
+        spent = np.repeat(spent, fanout) + bits
+    total += table.blocks[-1].take(budget - spent, axis=0)
+    best = int(np.argmax(_det2(total)))
+    return _outcome(table, _unrank(best, n_sensors, budget),
+                    matrix_sums=n_sensors * count, candidates=count)
 
 
 def greedy(table: FimTable, n_sensors: int, budget: int) -> AllocOutcome:

@@ -16,7 +16,7 @@ from . import allocators, convex
 from .fisher import FimTable, logdet, total_fim
 from .harness import (POLICIES, ConfigError, check_bank, load_config,
                       run_experiment, write_outputs)
-from .quantizer import build_bank, load_bank, save_bank
+from .quantizer import MIN_SAMPLE_COUNT, build_bank, load_bank, save_bank
 
 
 def _parse_rates(spec: str):
@@ -79,6 +79,8 @@ def cmd_thresholds(args) -> int:
         rates = _parse_rates(args.rates)
         if not rates or rates != list(range(1, max(rates) + 1)):
             raise ValueError("rates must cover 1..R contiguously")
+        if args.samples < MIN_SAMPLE_COUNT:
+            raise ValueError(f"--samples must be at least {MIN_SAMPLE_COUNT}")
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -98,14 +100,11 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_bench_alloc(args) -> int:
-    if args.n < 1 or args.r < 1:
-        print("config error: need --n >= 1 and --r >= 1", file=sys.stderr)
-        return 2
-    # Every instance runs exhaustive, so its split matrix must fit.
-    try:
-        allocators.check_split_bytes(args.n, args.r)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    # Every instance runs exhaustive, so its count must be under the cap.
+    if (args.n < 1 or args.r < 1 or allocators.enumerate_count(args.n, args.r)
+            > allocators.DEFAULT_ENUM_CAP):
+        print(f"config error: need --n >= 1, --r >= 1 and at most "
+              f"{allocators.DEFAULT_ENUM_CAP} allocations", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
     sys_c = convex.constraint_system(args.n, args.r)

@@ -33,6 +33,9 @@ MAX_UNKNOWNS = 20_000
 # Default barrier weight per unknown; see default_settings.
 TAU_SCALE = 1e-5
 
+# Backtracking line search: sufficient-decrease fraction, step shrink factor.
+ALPHA_LS, BETA_LS = 0.25, 0.5
+
 
 @dataclass(frozen=True)
 class TransmissionProbabilities:
@@ -95,14 +98,12 @@ class BarrierSettings:
     tau: float
     epsilon: float = 1e-8
     max_iters: int = 100
-    alpha_ls: float = 0.25
-    beta_ls: float = 0.5
 
     def __post_init__(self):
-        if self.tau <= 0 or self.epsilon <= 0:
+        if not (self.tau > 0 and self.epsilon > 0):
             raise ValueError("tau and epsilon must be positive")
-        if not 0 < self.alpha_ls < 0.5 or not 0 < self.beta_ls < 1:
-            raise ValueError("line search parameters out of range")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 def default_settings(n_sensors: int, r_max: int, tau_scale: float = TAU_SCALE,
@@ -297,9 +298,9 @@ def newton_solve(table: FimTable, sys: ConstraintSystem,
         g_dot_step = float(grad @ step)
         for _ in range(80):
             candidate = barrier_value(q + t * step, table, settings.tau)
-            if candidate <= value + settings.alpha_ls * t * g_dot_step:
+            if candidate <= value + ALPHA_LS * t * g_dot_step:
                 break
-            t *= settings.beta_ls
+            t *= BETA_LS
             backtracks += 1
         else:
             raise np.linalg.LinAlgError("backtracking line search failed")

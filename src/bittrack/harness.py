@@ -23,7 +23,7 @@ import numpy as np
 from . import allocators, convex, quantizer, tracker
 from .fisher import build_fim_table
 from .model import build_grid, build_motion
-from .quantizer import QuantizerBank, build_bank, load_bank
+from .quantizer import MIN_SAMPLE_COUNT, QuantizerBank, build_bank, load_bank
 
 POLICIES = ("exhaustive", "convex", "adp", "gbfos", "greedy", "nearest")
 
@@ -92,10 +92,17 @@ class ExperimentConfig:
                              f"exceeds {quantizer.MAX_KERNEL_SEGMENTS}")
         if self.policy == "exhaustive":
             count = allocators.enumerate_count(self.n_sensors, self.budget)
-            if count > self.exhaustive_cap:
-                raise ValueError(f"exhaustive_cap {self.exhaustive_cap} is "
-                                 f"below the {count} allocations to enumerate")
-            allocators.check_split_bytes(self.n_sensors, self.budget)
+            cap = min(self.exhaustive_cap, allocators.DEFAULT_ENUM_CAP)
+            if count > cap:
+                raise ValueError(f"the {count} allocations to enumerate "
+                                 f"exceed the cap {cap}")
+        if self.seed < 0 or self.bank_seed < 0:
+            raise ValueError("seed and bank_seed must be non-negative")
+        if self.bank_samples < MIN_SAMPLE_COUNT:
+            raise ValueError(f"bank_samples must be >= {MIN_SAMPLE_COUNT}")
+        if self.policy == "convex":  # the only policy that builds these
+            convex.default_settings(self.n_sensors, self.budget, self.tau_scale,
+                                    epsilon=self.epsilon, max_iters=self.max_iters)
         for name in ("mu0", "sigma0_diag"):
             vec = tuple(float(x) for x in getattr(self, name))
             object.__setattr__(self, name, vec)

@@ -28,6 +28,9 @@ P_FLOOR = 1e-12
 # Minimum spacing kept between interior thresholds during optimization.
 _MIN_GAP = 1e-6
 
+# Fewest amplitude samples that give threshold design a stable estimate.
+MIN_SAMPLE_COUNT = 1000
+
 
 def gaussian_upper_tail(x):
     """P(Z > x) for standard normal Z, stable in both tails."""
@@ -350,8 +353,8 @@ def optimize_thresholds(m: int, area_side: float, grid_params,
     """
     if m < 1:
         raise ValueError("threshold design needs m >= 1")
-    if sample_count < 1000:
-        raise ValueError("sample_count too small for a stable estimate")
+    if sample_count < MIN_SAMPLE_COUNT:
+        raise ValueError(f"sample_count must be at least {MIN_SAMPLE_COUNT}")
     sigma = grid_params[3]
     rng = np.random.default_rng(rng_seed)
     amps = amplitude_samples(area_side, grid_params, sample_count, rng)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,16 +38,81 @@ def test_enumerate_count():
         al.enumerate_count(0, 3)
 
 
+def composition_matrix(n_sensors, budget):
+    """Oracle: all bit splits as a (count, n_sensors) int array, colex order.
+
+    Stars and bars: each split is the gaps between N-1 bar positions
+    among R+N-1 slots, read right to left."""
+    count = al.enumerate_count(n_sensors, budget)
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(budget + n_sensors - 1), n_sensors - 1)), dtype=np.int64,
+        count=count * (n_sensors - 1)).reshape(count, n_sensors - 1)
+    gaps = np.diff(bars, axis=1, prepend=-1, append=budget + n_sensors - 1)
+    return gaps[:, ::-1] - 1
+
+
 def test_composition_matrix_colex_order():
-    comps = al.composition_matrix(3, 2)
+    comps = composition_matrix(3, 2)
     expected = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     assert [tuple(c) for c in comps] == expected
     assert comps.shape[0] == al.enumerate_count(3, 2)
-    for n, r in [(4, 3), (5, 2), (2, 6)]:
-        comps = al.composition_matrix(n, r)
+    for n, r in [(4, 3), (5, 2), (2, 6), (1, 4)]:
+        comps = composition_matrix(n, r)
         assert comps.shape[0] == al.enumerate_count(n, r)
         assert np.all(comps.sum(axis=1) == r)
         assert len({tuple(c) for c in comps}) == comps.shape[0]
+
+
+def test_exhaustive_matches_split_matrix_oracle():
+    # Every split summed in sensor order from the Schur complement, ranked
+    # by det of the 2x2 position block; ties go to the smallest split.
+    rng = np.random.default_rng(23)
+    for trial in range(240):
+        n = int(rng.integers(1, 9))
+        r = int(rng.integers(1, 7))
+        table = random_fim_table(n, r, rng)
+        if trial % 3 == 0:
+            blocks = table.blocks.copy()
+            for i in range(1, n):
+                blocks[i] = blocks[int(rng.integers(0, i))]
+            if trial % 6 == 0:
+                blocks[:] = 0.0  # every split ties
+            table = FimTable(blocks=blocks, prior=table.prior)
+        comps = composition_matrix(n, r)
+        total = np.tile(table.schur, (comps.shape[0], 1))
+        for i in range(n):
+            total += table.blocks[i, comps[:, i]]
+        det = total[:, 0] * total[:, 2] - total[:, 1] ** 2
+        value = np.where((total[:, 0] > 0) & (det > 0), det, -np.inf)
+        want = min(tuple(comps[j]) for j in np.flatnonzero(value == value.max()))
+        out = al.exhaustive(table, n, r)
+        assert out.alloc.tolist() == list(want)
+        assert out.logdet_value == logdet(total_fim(np.array(want), table))
+        assert out.candidates_examined == comps.shape[0]
+        assert out.matrix_sums == n * comps.shape[0]
+
+
+def test_exhaustive_memory_grows_with_split_count():
+    # N=25, R=6: 593,775 splits.  A (count, N) int64 split matrix alone
+    # is 119 MB; the trellis keeps about 100 B per split.
+    code = """if True:
+        import resource, sys
+        import numpy as np
+        from bittrack import allocators
+        from bittrack.cli import random_fim_table
+        table = random_fim_table(25, 6, np.random.default_rng(0))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        allocators.exhaustive(table, 25, 6)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss units
+        print((after - before) * unit)
+    """
+    src = os.path.dirname(os.path.dirname(al.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                          capture_output=True, text=True)
+    assert int(done.stdout) < 150 * 10**6
 
 
 def test_exhaustive_single_sensor():
@@ -74,6 +142,10 @@ def test_exhaustive_counts_and_cap():
     assert out.candidates_examined == al.enumerate_count(4, 3)
     with pytest.raises(ValueError):
         al.exhaustive(table, 4, 3, cap=5)
+    # 18,721,125 splits: refused before any is made, whatever `cap` says.
+    big = random_fim_table(144, 4, rng)
+    with pytest.raises(ValueError, match="exceeds cap 10000000"):
+        al.exhaustive(big, 144, 4, cap=10**9)
 
 
 def test_exhaustive_tie_breaks_lexicographically():

@@ -305,6 +305,12 @@ def test_config_rejects_kernel_grid_past_limit():
     {"sigma": "1e-6"},
     {"rho": "fast"},
     {"mu0": "1,x,2,2"},
+    {"seed": "-1"},
+    {"bank_seed": "-1"},
+    {"bank_samples": "999"},
+    {"tau_scale": "0", "policy": "convex"},
+    {"epsilon": "0", "policy": "convex"},
+    {"max_iters": "0", "policy": "convex"},
 ])
 def test_cli_simulate_rejects_bad_config_before_design(tmp_path, capsys,
                                                       monkeypatch, bad):
@@ -333,11 +339,13 @@ def test_cli_simulate_rejects_bad_config_before_design(tmp_path, capsys,
     ({}, [], '{"rates": []}'),       # readable JSON without the bank keys
     ({}, [], "[]"),                  # JSON, but not an object
     ({}, [], "not json"),
-    # 7x7 grid at budget 5: a 2,869,685 x 49 split matrix (1.1 GB).
-    ({"grid_side_count": 7, "budget": 5}, ["--policy", "exhaustive"], None),
+    # 12x12 grid at budget 4: 18,721,125 allocations, above
+    # allocators.DEFAULT_ENUM_CAP however high exhaustive_cap is set.
+    ({"grid_side_count": 12, "budget": 4, "exhaustive_cap": 10**9},
+     ["--policy", "exhaustive"], None),
 ], ids=["exhaustive-cap", "budget-above-bank", "missing-bank",
         "bank-lacks-keys", "bank-not-object", "bank-not-json",
-        "exhaustive-split-bytes"])
+        "exhaustive-above-enum-cap"])
 def test_cli_simulate_bank_and_cap_errors_exit_2(tmp_path, capsys, monkeypatch,
                                                  overrides, argv, bank_text):
     def no_design(*args, **kwargs):
@@ -432,6 +440,14 @@ def test_cli_thresholds_bad_rates(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_thresholds_too_few_samples_exit_2(tmp_path, capsys):
+    rc = cli.main(["thresholds", "--rates", "1..2", "--samples", "999",
+                   "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert not (tmp_path / "x.json").exists()
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_bench_alloc(capsys):
     rc = cli.main(["bench-alloc", "--n", "3", "--r", "2",
                    "--instances", "2", "--seed", "1"])
@@ -446,11 +462,9 @@ def test_cli_bench_alloc(capsys):
             assert gap >= -1e-9
 
 
-@pytest.mark.parametrize("n, r", [("0", "5"), ("3", "0"), ("36", "8"),
-                                  ("36", "6")])
+@pytest.mark.parametrize("n, r", [("0", "5"), ("3", "0"), ("36", "8")])
 def test_cli_bench_alloc_bad_sizes_exit_2(capsys, n, r):
-    # (36, 8) has 145,008,513 allocations and (36, 6) 4,496,388: split
-    # matrices of 42 GB and 1.3 GB, above allocators.MAX_SPLIT_BYTES.
+    # (36, 8) has 145,008,513 allocations, above allocators.DEFAULT_ENUM_CAP.
     rc = cli.main(["bench-alloc", "--n", n, "--r", r, "--instances", "1"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
